@@ -29,8 +29,6 @@ __all__ = [
     "load_phi_config",
 ]
 
-_CATALOG_KINDS = ("stable", "tempered", "mixture")
-
 
 @dataclass(frozen=True)
 class BernsteinFunction:
@@ -48,15 +46,12 @@ class BernsteinFunction:
     alphas: Optional[tuple] = None
     phi_fn: Optional[Callable] = None
     tail_fn: Optional[Callable] = None
-    density_fn: Optional[Callable] = None
     a: float = 0.0
     b: float = 0.0
     beta: float = 0.5
     c_assump: float = 1.0
     t0: float = 1.0
-    is_special: bool = True
     levy_mass_infinite: bool = True
-    levy_abs_continuous: bool = True
     label: str = field(default="", compare=False)
 
     # -- constructors -----------------------------------------------------
@@ -123,8 +118,6 @@ class BernsteinFunction:
         beta: float,
         c_assump: float,
         t0: float,
-        levy_density: Optional[Callable] = None,
-        is_special: bool = True,
         check: bool = True,
         label: str = "custom",
     ) -> "BernsteinFunction":
@@ -138,11 +131,9 @@ class BernsteinFunction:
             kind="custom",
             phi_fn=phi_eval,
             tail_fn=levy_tail,
-            density_fn=levy_density,
             beta=float(beta),
             c_assump=float(c_assump),
             t0=float(t0),
-            is_special=is_special,
             label=label,
         )
         if check:
@@ -218,11 +209,6 @@ class BernsteinFunction:
         if self.kind == "stable":
             return t ** self.alpha / _gamma(1.0 + self.alpha)
         return None
-
-    @property
-    def supports_complex(self) -> bool:
-        """Catalog kinds extend analytically off the real axis."""
-        return self.kind in _CATALOG_KINDS
 
     def describe(self) -> dict:
         d = {

@@ -68,13 +68,6 @@ class GridFunction:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_callable(cls, grid: Grid, fn, dim: int = 1) -> "GridFunction":
-        vals = np.empty((grid.cells + 1, dim))
-        for i, t in enumerate(grid.nodes):
-            vals[i] = fn(t)
-        return cls(grid, vals)
-
-    @classmethod
     def constant(cls, grid: Grid, value) -> "GridFunction":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(grid, np.tile(v, (grid.cells + 1, 1)))
@@ -97,10 +90,6 @@ class GridFunction:
 
     def sup_norm(self) -> float:
         return float(self.node_norms().max())
-
-    def weighted_norm(self, tau: float) -> float:
-        """max_i |f(t_i)| * exp(-tau * t_i)  (exponentially weighted sup)."""
-        return float((self.node_norms() * np.exp(-tau * self.grid.nodes)).max())
 
     def restrict(self, cells: int) -> "GridFunction":
         return GridFunction(self.grid.prefix(cells), self.values[: cells + 1].copy())

@@ -30,9 +30,9 @@ from scipy.special import gamma as _gamma
 from .errors import TruncationError
 from .grids import Grid, GridFunction
 from .kernels import KernelTable, _frac_integral_values
-from .mittag import ml_derivative_array
+from .mittag import mittag_leffler_tail, ml_derivative_array
 from .phiexp import ConvolutionPowers, phi_exp, phi_exp_series_curve
-from .solver import IvpProblem, picard_solve, select_horizon
+from .solver import IvpProblem, _horizon_index, picard_solve, select_horizon
 
 __all__ = [
     "GronwallInstance",
@@ -110,16 +110,7 @@ def apply_B(kt: KernelTable, g: GridFunction, f: GridFunction) -> GridFunction:
 def _power_tail(c: float, beta: float, g_max: float, horizon: float, a_sup: float, k_from: int) -> float:
     """Envelope bound on sum_{k >= k_from} ||B^k a||_inf."""
     base = c * _gamma(beta) * g_max * horizon ** beta
-    if base <= 0:
-        return 0.0
-    log_base = math.log(base)
-    total = 0.0
-    for k in range(k_from, k_from + 100000):
-        m = math.exp(min(k * log_base - math.lgamma(beta * k + 1.0), 700.0))
-        total += m
-        if m <= 1e-16 * max(total, 1e-300):
-            break
-    return a_sup * total
+    return a_sup * mittag_leffler_tail(beta, base, k_from) if base > 0 else 0.0
 
 
 def series_bound(
@@ -418,12 +409,8 @@ def continuity_experiment_initial(
     """
     f0 = problem.f0
     r_tilde = R + 1.0 + float(np.linalg.norm(f0))
-    c = float(problem.bound_c(r_tilde))
+    m, _ = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     L = float(problem.lip_l(r_tilde))
-    ok_idx = c * kt.U_node < R
-    m = int(np.sum(ok_idx)) - 1
-    if m < 1:
-        raise ValueError("no admissible shared horizon; enlarge R or refine the grid")
     base, _ = picard_solve(problem, kt, R, tol=tol, max_iter=max_iter, horizon_index=m)
     factor = phi_exp(kt.phi, cp, L, m) if kt.phi is not None else phi_exp_series_curve(cp, L)[m]
 

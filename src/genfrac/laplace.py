@@ -93,84 +93,53 @@ def _gs_weights(order: int) -> np.ndarray:
     return weights
 
 
-def _gs_nodes(t: float, order: int) -> np.ndarray:
-    return (_LN2 / t) * np.arange(1, order + 1)
-
-
-def _talbot_params(t: float, nodes: int):
-    r = 2.0 * nodes / (5.0 * t)
-    theta = np.arange(1, nodes) * np.pi / nodes
-    cot = 1.0 / np.tan(theta)
-    z = r * theta * (cot + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    return r, z, sigma
+def _transform_values(fn, z: np.ndarray, dtype) -> np.ndarray:
+    """fn over the node array z, calling it once per node when it only
+    takes scalars."""
+    flat = z.ravel()
+    try:
+        vals = fn(flat)
+    except (TypeError, AttributeError, ValueError):
+        vals = [fn(zz) for zz in flat]
+    vals = np.asarray(vals, dtype=dtype).reshape(z.shape)
+    if not np.all(np.isfinite(vals)):
+        raise InversionError("non-finite transform values at the inversion nodes")
+    return vals
 
 
 def invert(transform, t: float, cfg: InversionConfig = DEFAULT_CONFIG) -> float:
     """Approximate the original function of ``transform`` at time t > 0."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    shift = cfg.abscissa_shift
-    fn = transform if shift == 0.0 else (lambda z: transform(z + shift))
-    if cfg.method == "gaver-stehfest":
-        z = _gs_nodes(t, cfg.order)
-        vals = np.asarray([fn(zz) for zz in z], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise InversionError(
-                f"non-finite transform values at t={t} (gaver-stehfest nodes "
-                f"{z[~np.isfinite(vals)]})"
-            )
-        out = (_LN2 / t) * float(np.dot(_gs_weights(cfg.order), vals))
-    else:
-        r, z, sigma = _talbot_params(t, cfg.nodes)
-        head = 0.5 * complex(fn(complex(r, 0.0))) * math.exp(r * t)
-        vals = np.asarray([fn(zz) for zz in z], dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise InversionError(f"non-finite transform values at t={t} (talbot nodes)")
-        body = np.real(np.exp(t * z) * vals * (1.0 + 1j * sigma))
-        out = (r / cfg.nodes) * (head.real + float(np.sum(body)))
-    if not math.isfinite(out):
-        raise InversionError(f"inversion produced non-finite value at t={t}")
-    return out if shift == 0.0 else math.exp(shift * t) * out
+    return float(invert_grid(transform, [t], cfg)[0])
 
 
 def invert_grid(transform, ts, cfg: InversionConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized :func:`invert` over an array of times.
+    """Original function of ``transform`` at an array of times.
 
-    The transform is called once on a flattened node array; callables that
-    only take scalars fall back to the per-time loop.
+    The transform is called once on the flattened node array; callables
+    that only take scalars are evaluated node by node.
     """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0):
+    if not np.all(ts > 0):
         raise ValueError("all times must be positive")
     shift = cfg.abscissa_shift
     fn = transform if shift == 0.0 else (lambda z: transform(z + shift))
-    try:
-        if cfg.method == "gaver-stehfest":
-            z = (_LN2 / ts)[:, None] * np.arange(1, cfg.order + 1)[None, :]
-            vals = np.asarray(fn(z.ravel()), dtype=float).reshape(z.shape)
-            if not np.all(np.isfinite(vals)):
-                raise InversionError("non-finite transform values on grid")
-            out = (_LN2 / ts) * (vals @ _gs_weights(cfg.order))
-        else:
-            out = np.empty_like(ts)
-            nodes = cfg.nodes
-            theta = np.arange(1, nodes) * np.pi / nodes
-            cot = 1.0 / np.tan(theta)
-            sigma = theta + (theta * cot - 1.0) * cot
-            r = 2.0 * nodes / (5.0 * ts)
-            zmat = r[:, None] * theta[None, :] * (cot[None, :] + 1j)
-            vals = np.asarray(fn(zmat.ravel()), dtype=complex).reshape(zmat.shape)
-            head = 0.5 * np.asarray(fn(r.astype(complex)), dtype=complex) * np.exp(r * ts)
-            if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(head))):
-                raise InversionError("non-finite transform values on grid")
-            body = np.real(np.exp(ts[:, None] * zmat) * vals * (1.0 + 1j * sigma[None, :]))
-            out = (r / nodes) * (head.real + body.sum(axis=1))
-    except (TypeError, AttributeError):
-        out = np.asarray([invert(transform, float(t), cfg) for t in ts])
-        return out
+    if cfg.method == "gaver-stehfest":
+        z = (_LN2 / ts)[:, None] * np.arange(1, cfg.order + 1)[None, :]
+        vals = _transform_values(fn, z, float)
+        out = (_LN2 / ts) * (vals @ _gs_weights(cfg.order))
+    else:
+        nodes = cfg.nodes
+        theta = np.arange(1, nodes) * np.pi / nodes
+        cot = 1.0 / np.tan(theta)
+        sigma = theta + (theta * cot - 1.0) * cot
+        r = 2.0 * nodes / (5.0 * ts)
+        zmat = r[:, None] * theta[None, :] * (cot[None, :] + 1j)
+        vals = _transform_values(fn, zmat, complex)
+        head = 0.5 * _transform_values(fn, r.astype(complex), complex) * np.exp(r * ts)
+        body = np.real(np.exp(ts[:, None] * zmat) * vals * (1.0 + 1j * sigma[None, :]))
+        out = (r / nodes) * (head.real + body.sum(axis=1))
     if not np.all(np.isfinite(out)):
-        raise InversionError("inversion produced non-finite values on grid")
+        raise InversionError("inversion produced non-finite values")
     return out if shift == 0.0 else np.exp(shift * ts) * out
 
 

@@ -26,6 +26,8 @@ __all__ = [
 
 _REL_TOL = 1e-14
 _HARD_CAP = 20000
+#: term budget of :func:`mittag_leffler_tail` before it reports an infinite tail
+_TAIL_CAP = 100000
 
 
 def series_domain_limit(alpha: float, negative: bool = False) -> float:
@@ -93,6 +95,26 @@ def mittag_leffler_derivative(beta: float, z: float) -> float:
         raise ValueError(f"derivative evaluation needs z >= 0, got {z}")
     _check_args(beta, z, lo_open=True)
     return _series(beta, float(z), start=1, weight_k=True)
+
+
+def mittag_leffler_tail(beta: float, x: float, k_from: int) -> float:
+    """sum_{k >= k_from} x^k / Gamma(beta k + 1) for x >= 0 (internal helper).
+
+    The majorant behind every series-tail certificate.  Terms are formed in
+    log space and clamped at e^700; the sum stops once a term falls below
+    1e-16 of the running total and is ``inf`` when the term budget runs out
+    first, so a tail too large to certify never reads as finite.
+    """
+    if x == 0.0:
+        return 1.0 if k_from == 0 else 0.0
+    log_x = math.log(x)
+    total = 0.0
+    for k in range(k_from, k_from + _TAIL_CAP):
+        term = math.exp(min(k * log_x - math.lgamma(beta * k + 1.0), 700.0))
+        total += term
+        if term <= 1e-16 * max(total, 1e-300):
+            return total
+    return math.inf
 
 
 def ml_derivative_array(beta: float, z: np.ndarray) -> np.ndarray:

@@ -20,13 +20,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .bernstein import BernsteinFunction
 from .errors import CancellationError, ConditioningWarning, TruncationError
 from .grids import Grid, GridFunction
 from .kernels import KernelTable, _caputo_values, _frac_integral_values
 from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert, invert_grid
+from .mittag import mittag_leffler_tail
 
 __all__ = [
     "ConvolutionPowers",
@@ -77,28 +77,10 @@ def convolution_powers(kt: KernelTable, k_max: int) -> ConvolutionPowers:
     )
 
 
-def _log_majorant(cp: ConvolutionPowers, lam_abs: float, t: float, k: int) -> float:
-    """log of the k-th term bound |lam|^k u_k(t) (k >= 1)."""
-    if lam_abs == 0.0 or t == 0.0:
-        return -math.inf
-    beta = cp.beta
-    base = math.log(lam_abs * cp.c_env_u) + math.lgamma(beta) + beta * math.log(t)
-    head = math.log(cp.c_env_U * beta / cp.c_env_u)
-    return head + k * base - float(gammaln(beta * k + 1.0))
-
-
 def _majorant_tail(cp: ConvolutionPowers, lam_abs: float, t: float, k_from: int) -> float:
-    """sum_{k >= k_from} of the majorant terms."""
-    total = 0.0
-    for k in range(k_from, k_from + _TAIL_CAP):
-        m = math.exp(min(_log_majorant(cp, lam_abs, t, k), 700.0))
-        total += m
-        if m <= 1e-16 * max(total, 1e-300):
-            return total
-    return math.inf
-
-
-_TAIL_CAP = 100000
+    """sum_{k >= k_from} of the term bounds |lam|^k u_k(t) (k_from >= 1)."""
+    x = lam_abs * cp.c_env_u * math.gamma(cp.beta) * t ** cp.beta
+    return cp.c_env_U * cp.beta / cp.c_env_u * mittag_leffler_tail(cp.beta, x, k_from)
 
 
 def suggest_power_count(kt: KernelTable, lam: float, rel_tol: float = SERIES_TOL) -> int:

@@ -8,9 +8,12 @@ horizon T' is the largest grid node with C_Rtilde * U(T') < R, which
 confines every iterate to the ball B_R(f0); leaving that ball aborts the
 run rather than projecting back, since it signals a misconfigured (R, T').
 
-Longer horizons are reached by restarted segments
-(:func:`continue_solution`): the memory integral over the solved part is
-frozen and only the new cells iterate.
+One segment routine does all the sweeping.  It iterates the cells after
+a solved prefix while the memory integral over that prefix stays frozen,
+in the ball around the prefix's terminal value.  :func:`picard_solve` is
+the first segment, a continuation from the empty history f(0) = f0;
+:func:`continue_solution` extends a solved prefix, and
+:func:`solve_to_horizon` chains segments to the end of the grid.
 """
 
 from __future__ import annotations
@@ -100,57 +103,64 @@ class HorizonSelection:
     c_bound: float
 
 
-def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> HorizonSelection:
-    """Largest grid-aligned T' <= T with bound_c(R + |f0|) * U(T') < R."""
+def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float):
+    """(m, c): the largest node index m with c * U[m] < R, c = bound_c(radius).
+
+    U is nondecreasing, so the admissible nodes form a prefix and every
+    node up to m satisfies the inequality as well.
+    """
     if not R > 0:
         raise ValueError("R must be positive")
-    r_tilde = R + float(np.linalg.norm(problem.f0))
-    c = float(problem.bound_c(r_tilde))
+    c = float(bound_c(radius))
     if c < 0:
         raise ValueError("bound_c must be nonnegative")
-    n = kt.grid.cells
-    if c == 0.0:
-        return HorizonSelection(kt.grid.horizon, n, r_tilde, c)
-    ok = c * kt.U_node < R
-    # U is nondecreasing, so admissible indices form a prefix
-    idx = int(np.searchsorted(ok[::-1], True))  # count of trailing False
-    m = n - idx
+    ok = c * U < R
+    m = len(U) - 1 if ok.all() else int(np.argmin(ok)) - 1
     if m < 1:
         raise HorizonError(
             f"no grid node satisfies bound_c*U < R (c={c:g}, R={R:g}); "
             "refine the grid or enlarge R"
         )
+    return m, c
+
+
+def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> HorizonSelection:
+    """Largest grid-aligned T' <= T with bound_c(R + |f0|) * U(T') < R."""
+    r_tilde = R + float(np.linalg.norm(problem.f0))
+    m, c = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     return HorizonSelection(float(kt.grid.nodes[m]), m, r_tilde, c)
 
 
-def pick_bielecki_tau(kt: KernelTable, L: float, t_prime: float) -> float:
-    """Smallest weight tau making the contraction estimate <= 1/2.
+def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
+    """(p', d) with the iteration map's Lipschitz constant in the
+    tau-weighted sup norm bounded by d * (p' tau)^(-1/p').
 
-    With p = (2 - beta) / (2 (1 - beta)) and q = p (beta - 1) + 1 the
-    iteration map's Lipschitz constant in the tau-weighted sup norm is
-    bounded by  c_fit * L * q^(-1/p) * T'^(q/p) * (p' tau)^(-1/p'),
-    which equals 1/2 at the returned tau.
+    Here p = (2 - beta) / (2 (1 - beta)), p' its conjugate exponent,
+    q = p (beta - 1) + 1 and d = c_fit * L * q^(-1/p) * T'^(q/p).
     """
-    if L < 0 or not t_prime > 0:
-        raise ValueError("need L >= 0 and t_prime > 0")
-    if L == 0.0:
-        return 0.0
     beta = kt.beta
     p = (2.0 - beta) / (2.0 * (1.0 - beta))
     p_conj = p / (p - 1.0)
     q = p * (beta - 1.0) + 1.0
-    d = kt.c_fit * L * q ** (-1.0 / p) * t_prime ** (q / p)
+    return p_conj, kt.c_fit * L * q ** (-1.0 / p) * t_prime ** (q / p)
+
+
+def pick_bielecki_tau(kt: KernelTable, L: float, t_prime: float) -> float:
+    """Smallest weight tau making the contraction estimate
+    d * (p' tau)^(-1/p') of :func:`_bielecki_constants` equal to 1/2."""
+    if L < 0 or not t_prime > 0:
+        raise ValueError("need L >= 0 and t_prime > 0")
+    if L == 0.0:
+        return 0.0
+    p_conj, d = _bielecki_constants(kt, L, t_prime)
     return (2.0 * d) ** p_conj / p_conj
 
 
 def _theoretical_contraction(kt: KernelTable, L: float, t_prime: float, tau: float) -> float:
     if L == 0.0:
         return 0.0
-    beta = kt.beta
-    p = (2.0 - beta) / (2.0 * (1.0 - beta))
-    p_conj = p / (p - 1.0)
-    q = p * (beta - 1.0) + 1.0
-    return kt.c_fit * L * q ** (-1.0 / p) * t_prime ** (q / p) * (p_conj * tau) ** (-1.0 / p_conj)
+    p_conj, d = _bielecki_constants(kt, L, t_prime)
+    return d * (p_conj * tau) ** (-1.0 / p_conj)
 
 
 def _initial_values(problem: IvpProblem, m: int, initial, R: float) -> np.ndarray:
@@ -168,6 +178,100 @@ def _initial_values(problem: IvpProblem, m: int, initial, R: float) -> np.ndarra
     )
 
 
+def _solve_segment(
+    problem: IvpProblem,
+    kt: KernelTable,
+    prior: np.ndarray,
+    m: int,
+    R: float,
+    tol: float,
+    max_iter: int,
+    start: np.ndarray,
+):
+    """Picard sweeps on cells mp+1..m against a frozen history.
+
+    ``prior`` holds the solved values at nodes 0..mp; the first segment is
+    the case mp = 0 with ``prior = [f0]``.  The memory integral over the
+    solved cells is evaluated once and held fixed, and the iterate, started
+    from ``start`` (values at nodes mp..m), stays in the ball of radius R
+    around f(t_mp).  Returns (solution on nodes 0..m, state).
+    """
+    if not R > 0:
+        raise ValueError("R must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    mp = len(prior) - 1
+    k = m - mp
+    h = kt.grid.step
+    nodes = kt.grid.nodes
+    centre = prior[-1]
+    r_tilde = R + float(np.linalg.norm(centre))
+    L = float(problem.lip_l(r_tilde))
+
+    base = problem.f0
+    if mp > 0:
+        g_pad = np.zeros((m, problem.dim))
+        g_pad[:mp] = problem.eval_rhs(nodes[:mp] + 0.5 * h, 0.5 * (prior[:-1] + prior[1:]))
+        base = problem.f0 + _conv_prefix(kt.u_cell[:m], g_pad)[mp:]
+
+    ts = nodes[mp:m] + 0.5 * h
+    W = kt.u_cell[:k]
+
+    def sweep(f):
+        out = np.empty_like(f)
+        out[0] = centre
+        out[1:] = base + _conv_prefix(W, problem.eval_rhs(ts, 0.5 * (f[:-1] + f[1:])))
+        return out
+
+    tau = pick_bielecki_tau(kt, L, float(nodes[m] - nodes[mp]))
+    weights = np.exp(-tau * (nodes[mp : m + 1] - nodes[mp]))
+    # sup-norm gain of one sweep; the exit threshold below guarantees the
+    # returned iterate's fixed-point residual stays under tol in sup norm
+    sup_goal = tol / (1.0 + L * float(kt.U_node[k]))
+    f = start
+    norms: List[float] = []
+    ratios: List[float] = []
+    for it in range(1, max_iter + 1):
+        new = sweep(f)
+        drift = np.linalg.norm(new - centre, axis=1)
+        if float(drift.max()) > R * (1 + 1e-9):
+            raise ConfinementError(
+                f"iterate left the ball of radius R={R:g} around f(t_{mp}) at "
+                f"iteration {it} (max drift {drift.max():.6g}); reselect R or T'"
+            )
+        step = np.linalg.norm(new - f, axis=1)
+        dn = float((step * weights).max())
+        norms.append(dn)
+        if len(norms) >= 2 and norms[-2] > 0:
+            ratios.append(norms[-1] / norms[-2])
+        f = new
+        if dn < tol and float(step.max()) <= sup_goal:
+            break
+    else:
+        raise NonconvergenceError(
+            f"no convergence on cells {mp + 1}..{m} within {max_iter} iterations "
+            f"(last step {norms[-1]:.3e}, ratio history {ratios[-3:]})",
+            history=norms,
+        )
+
+    residual = float(np.linalg.norm(sweep(f) - f, axis=1).max())
+    sol = GridFunction(kt.grid.prefix(m), np.concatenate((prior[:-1], f)))
+    state = PicardState(
+        iterate=sol,
+        iteration_count=it,
+        bielecki_tau=tau,
+        successive_norms=norms,
+        contraction_ratio_estimates=ratios,
+        residual_sup=residual,
+        horizon_index=m,
+        t_prime=float(nodes[m]),
+        r_tilde=r_tilde,
+    )
+    return sol, state
+
+
 def picard_solve(
     problem: IvpProblem,
     kt: KernelTable,
@@ -179,84 +283,20 @@ def picard_solve(
 ):
     """Solve on [0, T'] by Picard iteration; returns (solution, state).
 
-    The right-hand side is evaluated at cell midpoints on linearly
+    The first segment: :func:`_solve_segment` from the empty history, on
+    the horizon of :func:`select_horizon` unless ``horizon_index`` forces
+    one.  The right-hand side is evaluated at cell midpoints on linearly
     interpolated iterate values, matching the trapezoid product
     integration of the memory kernel.
     """
     if horizon_index is None:
-        sel = select_horizon(problem, kt, R)
-        m, t_prime, r_tilde = sel.index, sel.t_prime, sel.r_tilde
+        m = select_horizon(problem, kt, R).index
     else:
         m = int(horizon_index)
         if not 1 <= m <= kt.grid.cells:
             raise ValueError(f"horizon_index must lie in 1..{kt.grid.cells}")
-        t_prime = float(kt.grid.nodes[m])
-        r_tilde = R + float(np.linalg.norm(problem.f0))
-
-    h = kt.grid.step
-    nodes = kt.grid.nodes[: m + 1]
-    ts_mid = nodes[:-1] + 0.5 * h
-    W = kt.u_cell[:m]
-    L = float(problem.lip_l(r_tilde))
-    tau = pick_bielecki_tau(kt, L, t_prime)
-    weights = np.exp(-tau * nodes)
-
-    f = _initial_values(problem, m, initial, R)
-    norms: List[float] = []
-    ratios: List[float] = []
-    newf = np.empty_like(f)
-    # sup-norm gain of one sweep; the exit threshold below guarantees the
-    # returned iterate's fixed-point residual stays under tol in sup norm
-    kappa_sup = L * float(kt.U_node[m])
-    sup_goal = tol / (1.0 + kappa_sup)
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (f[:-1] + f[1:])
-        g = problem.eval_rhs(ts_mid, mid)
-        newf[0] = problem.f0
-        newf[1:] = problem.f0 + _conv_prefix(W, g)
-        drift = np.linalg.norm(newf - problem.f0, axis=1)
-        if float(drift.max()) > R * (1 + 1e-9):
-            raise ConfinementError(
-                f"iterate left B_R(f0) at iteration {it} "
-                f"(max drift {drift.max():.6g} > R={R:g}); reselect R or T'"
-            )
-        step = np.linalg.norm(newf - f, axis=1)
-        dn = float((step * weights).max())
-        dn_sup = float(step.max())
-        norms.append(dn)
-        if len(norms) >= 2 and norms[-2] > 0:
-            ratios.append(norms[-1] / norms[-2])
-        f, newf = newf, f
-        if dn < tol and dn_sup <= sup_goal:
-            break
-    else:
-        raise NonconvergenceError(
-            f"no convergence within {max_iter} iterations (last step {norms[-1]:.3e}, "
-            f"ratio history {ratios[-3:]})",
-            history=norms,
-        )
-
-    # fixed-point residual ||f - A f||_inf, one extra sweep
-    mid = 0.5 * (f[:-1] + f[1:])
-    g = problem.eval_rhs(ts_mid, mid)
-    af = np.empty_like(f)
-    af[0] = problem.f0
-    af[1:] = problem.f0 + _conv_prefix(W, g)
-    residual = float(np.linalg.norm(af - f, axis=1).max())
-
-    sol = GridFunction(kt.grid.prefix(m), f)
-    state = PicardState(
-        iterate=sol,
-        iteration_count=it,
-        bielecki_tau=tau,
-        successive_norms=norms,
-        contraction_ratio_estimates=ratios,
-        residual_sup=residual,
-        horizon_index=m,
-        t_prime=t_prime,
-        r_tilde=r_tilde,
-    )
-    return sol, state
+    start = _initial_values(problem, m, initial, R)
+    return _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
 
 
 def continue_solution(
@@ -273,6 +313,8 @@ def continue_solution(
     The memory term over the solved segment is re-evaluated once from the
     prior values and then held fixed while the new cells iterate; the
     restart ball is centered at the terminal value of the prior segment.
+    Without ``extend_index`` the new segment is as long as the horizon rule
+    of :func:`select_horizon` allows from that centre.
     """
     if abs(prior.grid.step - kt.grid.step) > 1e-12 * kt.grid.step:
         raise ValueError("prior solution lives on a different step size")
@@ -282,94 +324,16 @@ def continue_solution(
         raise ValueError("prior already covers the full grid")
     if prior.dim != problem.dim:
         raise ValueError("dimension mismatch between prior and problem")
-
     f_end = prior.values[-1]
-    r_tilde = R + float(np.linalg.norm(f_end))
-    c = float(problem.bound_c(r_tilde))
-    L = float(problem.lip_l(r_tilde))
-
     if extend_index is None:
-        if c == 0.0:
-            k = n - mp
-        else:
-            ok = c * kt.U_node < R
-            idx = int(np.searchsorted(ok[::-1], True))
-            k = min(kt.grid.cells - idx, n - mp)
+        r_tilde = R + float(np.linalg.norm(f_end))
+        m = mp + min(_horizon_index(problem.bound_c, r_tilde, kt.U_node, R)[0], n - mp)
     else:
-        k = int(extend_index) - mp
-    if k < 1:
-        raise HorizonError(
-            f"continuation cannot advance (c={c:g}, R={R:g}); "
-            "refine the grid or enlarge R"
-        )
-    m_new = mp + k
-
-    h = kt.grid.step
-    nodes = kt.grid.nodes[: m_new + 1]
-    W = kt.u_cell[:m_new]
-
-    # frozen history: midpoint right-hand sides over the solved cells
-    ts_hist = nodes[:mp] + 0.5 * h
-    mid_hist = 0.5 * (prior.values[:-1] + prior.values[1:])
-    g_hist = problem.eval_rhs(ts_hist, mid_hist)
-    g_pad = np.zeros((m_new, problem.dim))
-    g_pad[:mp] = g_hist
-    hist = _conv_prefix(W, g_pad)  # history part of the memory integral
-
-    t_span = float(nodes[m_new] - nodes[mp])
-    tau = pick_bielecki_tau(kt, L, t_span)
-    seg_weights = np.exp(-tau * (nodes[mp + 1 :] - nodes[mp]))
-    ts_new = nodes[mp:m_new] + 0.5 * h
-    Wk = kt.u_cell[:k]
-
-    f_ext = np.empty((m_new + 1, problem.dim))
-    f_ext[: mp + 1] = prior.values
-    f_ext[mp + 1 :] = f_end
-
-    norms: List[float] = []
-    ratios: List[float] = []
-    kappa_sup = L * float(kt.U_node[k])
-    sup_goal = tol / (1.0 + kappa_sup)
-    for it in range(1, max_iter + 1):
-        mid_new = 0.5 * (f_ext[mp:m_new] + f_ext[mp + 1 :])
-        g_new = problem.eval_rhs(ts_new, mid_new)
-        seg = _conv_prefix(Wk, g_new)
-        new_tail = problem.f0 + hist[mp:] + seg
-        drift = np.linalg.norm(new_tail - f_end, axis=1)
-        if float(drift.max()) > R * (1 + 1e-9):
-            raise ConfinementError(
-                f"continuation iterate left B_R(f(T')) at iteration {it} "
-                f"(max drift {drift.max():.6g} > R={R:g})"
-            )
-        step = np.linalg.norm(new_tail - f_ext[mp + 1 :], axis=1)
-        dn = float((step * seg_weights).max())
-        dn_sup = float(step.max())
-        norms.append(dn)
-        if len(norms) >= 2 and norms[-2] > 0:
-            ratios.append(norms[-1] / norms[-2])
-        f_ext[mp + 1 :] = new_tail
-        if dn < tol and dn_sup <= sup_goal:
-            break
-    else:
-        raise NonconvergenceError(
-            f"continuation did not converge within {max_iter} iterations "
-            f"(last step {norms[-1]:.3e})",
-            history=norms,
-        )
-
-    sol = GridFunction(kt.grid.prefix(m_new), f_ext)
-    state = PicardState(
-        iterate=sol,
-        iteration_count=it,
-        bielecki_tau=tau,
-        successive_norms=norms,
-        contraction_ratio_estimates=ratios,
-        residual_sup=float(norms[-1]),
-        horizon_index=m_new,
-        t_prime=float(nodes[m_new]),
-        r_tilde=r_tilde,
-    )
-    return sol, state
+        m = int(extend_index)
+        if not mp < m <= n:
+            raise ValueError(f"extend_index must lie in {mp + 1}..{n}")
+    start = np.tile(f_end, (m - mp + 1, 1))
+    return _solve_segment(problem, kt, prior.values, m, R, tol, max_iter, start)
 
 
 def solve_to_horizon(

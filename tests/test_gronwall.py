@@ -7,6 +7,7 @@ from scipy.special import gammaln
 from genfrac import (
     GridFunction,
     GronwallInstance,
+    HorizonError,
     ParamFamily,
     apply_B,
     check_instance,
@@ -276,6 +277,25 @@ class TestContinuity:
         with pytest.raises(ValueError):
             continuity_experiment_initial(
                 problem, kt_stable_512, cp_stable_512, R=2.0, deltas=[1.5]
+            )
+
+    def test_initial_without_shared_horizon(self, kt_stable_512, cp_stable_512):
+        # a numerical failure, not a usage mistake
+        problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
+        with pytest.raises(HorizonError):
+            continuity_experiment_initial(
+                problem, kt_stable_512, cp_stable_512, R=1e-4, deltas=[0.1]
+            )
+
+    def test_initial_rejects_nonpositive_radius(self, kt_stable_512, cp_stable_512):
+        # checked before the local bound sees the radius: a fractional power
+        # of a negative radius is not a real number
+        from genfrac import rhs_power
+
+        problem = make_problem(rhs_power(1.0, 1.5), [0.2], 1.0)
+        with pytest.raises(ValueError, match="R must be positive"):
+            continuity_experiment_initial(
+                problem, kt_stable_512, cp_stable_512, R=-5.0, deltas=[0.1]
             )
 
     def test_parameter_eigen_family(self, kt_stable_512, cp_stable_512):

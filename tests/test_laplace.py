@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -88,6 +89,10 @@ class TestMethodAgreement:
 
         ts = np.array([0.5, 1.0, 2.0])
         assert invert_grid(scalar_only, ts, GS) == pytest.approx(ts, abs=1e-6)
+        assert invert(scalar_only, 2.0, GS) == pytest.approx(2.0, abs=1e-6)
+        assert invert(lambda z: 1.0 / (cmath.sqrt(z) * z), 1.0, TALBOT) == pytest.approx(
+            INV_GAMMA_1_5, abs=1e-8
+        )
 
 
 class TestAbscissa:

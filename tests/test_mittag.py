@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfc
 
 from genfrac import mittag_leffler, mittag_leffler_derivative, series_domain_limit
-from genfrac.mittag import ml_derivative_array
+from genfrac.mittag import mittag_leffler_tail, ml_derivative_array
 
 from conftest import ML_ORACLE, ML_PRIME_HALF_AT_2
 
@@ -91,3 +92,37 @@ def test_vectorized_derivative_matches_scalar():
     vec = ml_derivative_array(0.5, zs)
     ref = np.array([mittag_leffler_derivative(0.5, z) for z in zs])
     assert vec == pytest.approx(ref, rel=1e-12)
+
+
+class TestTail:
+    """mittag_leffler_tail against closed forms that share none of its code."""
+
+    CLOSED = {
+        1.0: lambda x: math.exp(x),
+        0.5: lambda x: math.exp(x * x) * float(erfc(-x)),
+    }
+
+    @pytest.mark.parametrize("beta", sorted(CLOSED))
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
+    def test_full_sum_is_closed_form(self, beta, x):
+        assert mittag_leffler_tail(beta, x, 0) == pytest.approx(self.CLOSED[beta](x), rel=1e-13)
+
+    @pytest.mark.parametrize("beta", sorted(CLOSED))
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_tail_drops_leading_terms(self, beta, x, k):
+        full = self.CLOSED[beta](x)
+        head = math.fsum(x ** j / math.gamma(beta * j + 1.0) for j in range(k))
+        assert mittag_leffler_tail(beta, x, k) == pytest.approx(full - head, abs=1e-13 * full)
+
+    def test_zero_argument(self):
+        assert mittag_leffler_tail(0.5, 0.0, 0) == 1.0
+        assert mittag_leffler_tail(0.5, 0.0, 3) == 0.0
+
+    def test_infinite_at_term_cap(self):
+        # the terms of x = 400, beta = 1/2 peak near k = 2 x^2, past the term
+        # budget, so no finite partial sum may stand in for the tail
+        from genfrac.gronwall import _power_tail
+
+        assert mittag_leffler_tail(0.5, 400.0, 1) == math.inf
+        assert _power_tail(400.0 / math.gamma(0.5), 0.5, 1.0, 1.0, 1.0, 1) == math.inf

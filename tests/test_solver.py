@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genfrac import (
     ConfinementError,
     GridFunction,
     HorizonError,
     IvpProblem,
+    NumericalError,
     continue_solution,
     estimate_lipschitz,
     make_problem,
@@ -197,6 +200,36 @@ class TestContinuation:
             ref = mittag_leffler(0.5, -np.sqrt(t))
             assert sol.scalar()[idx] == pytest.approx(ref, abs=5e-3)
 
+    @pytest.mark.parametrize("extend_index", [1000, 200, 100, -1])
+    def test_extend_index_outside_grid_rejected(self, kt_stable_512, extend_index):
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        sol, _ = picard_solve(problem, kt_stable_512, R=0.5, horizon_index=200)
+        with pytest.raises(ValueError, match="extend_index"):
+            continue_solution(problem, kt_stable_512, sol, R=0.5, extend_index=extend_index)
+
+    def test_residual_is_fixed_point_residual(self, kt_stable_512):
+        # recompute max |A f - f| on each continuation segment, with the
+        # memory over the solved prefix taken from the returned solution
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        tol = 1e-10
+        sol, states = solve_to_horizon(problem, kt_stable_512, R=0.2, tol=tol)
+        assert len(states) > 3
+        W = kt_stable_512.u_cell
+        h = kt_stable_512.grid.step
+        nodes = kt_stable_512.grid.nodes
+        f = sol.values
+        g = problem.eval_rhs(nodes[:-1] + 0.5 * h, 0.5 * (f[:-1] + f[1:]))
+        for prev, state in zip(states, states[1:]):
+            mp, m = prev.horizon_index, state.horizon_index
+            g_hist = np.zeros((m, 1))
+            g_hist[:mp] = g[:mp]
+            hist = np.convolve(W[:m], g_hist[:, 0])[mp:m]
+            seg = np.convolve(W[: m - mp], g[mp:m, 0])[: m - mp]
+            af = problem.f0[0] + hist + seg
+            residual = float(np.abs(af - f[mp + 1 : m + 1, 0]).max())
+            assert state.residual_sup == pytest.approx(residual, rel=1e-12)
+            assert residual <= tol
+
     def test_global_runs_agree_across_segmentations(self, kt_stable_512):
         # global uniqueness probe: different restart schedules (induced by
         # different confinement radii) yield the same full-grid solution
@@ -271,3 +304,37 @@ class TestNeumann:
 def test_estimate_lipschitz_linear():
     est = estimate_lipschitz(lambda t, y: -3.0 * y, dim=1, R=2.0, horizon=1.0)
     assert est == pytest.approx(3.0, rel=1e-3)
+
+
+class TestSegmentContract:
+    """Every call either returns a state whose residual meets tol, or raises
+    ValueError (a usage mistake) or a NumericalError (a numerical failure)."""
+
+    @given(
+        cells=st.integers(2, 48),
+        f0=st.floats(-0.5, 1.5),
+        radius=st.one_of(st.floats(-1.0, 3.0), st.just(0.0)),
+        tol=st.one_of(st.floats(1e-14, 1e-2), st.just(0.0), st.just(-1e-8)),
+        horizon=st.one_of(st.none(), st.integers(-4, 60)),
+        prior_cells=st.integers(1, 60),
+        extend=st.one_of(st.none(), st.integers(-4, 120)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_returns_or_raises_documented_errors(
+        self, stable_half, cells, f0, radius, tol, horizon, prior_cells, extend
+    ):
+        from genfrac import Grid, build_kernel_table
+
+        kt = build_kernel_table(stable_half, Grid(1.0, cells))
+        problem = make_problem(rhs_logistic(1.0), [f0], 1.0)
+
+        def check(call):
+            try:
+                _, state = call()
+            except (ValueError, NumericalError):
+                return
+            assert state.residual_sup <= tol
+
+        check(lambda: picard_solve(problem, kt, radius, tol=tol, horizon_index=horizon))
+        prior = GridFunction.constant(Grid(prior_cells * kt.grid.step, prior_cells), f0)
+        check(lambda: continue_solution(problem, kt, prior, radius, tol=tol, extend_index=extend))
