@@ -10,100 +10,24 @@ a verification harness for Grönwall-type bound chains.
 
 __version__ = "0.1.0"
 
-from .bernstein import (
-    BernsteinFunction,
-    eval_conjugate,
-    eval_phi,
-    levy_tail,
-    load_phi_config,
-    parse_phi_spec,
-    validate_bernstein,
-)
-from .errors import (
-    AbscissaError,
-    CancellationError,
-    ConditioningWarning,
-    ConfinementError,
-    HorizonError,
-    InversionError,
-    KernelConsistencyError,
-    NonconvergenceError,
-    NumericalError,
-    PathExhaustedError,
-    TruncationError,
-)
-from .grids import Grid, GridFunction
-from .gronwall import (
-    GronwallInstance,
-    ParamFamily,
-    apply_B,
-    check_instance,
-    continuity_experiment_initial,
-    continuity_experiment_parameter,
-    ml_bound,
-    monotone_bound,
-    random_instance,
-    run_random_harness,
-    saturated_instance,
-    series_bound,
-)
-from .kernels import (
-    KernelTable,
-    build_kernel_table,
-    caputo_derivative,
-    check_inversion_identity,
-    frac_integral,
-    kernel_table_from_csv,
-    kernel_table_to_csv,
-)
-from .laplace import InversionConfig, abscissa_for_eigen, invert, invert_grid, parse_ilt_spec
-from .mc import (
-    McConfig,
-    McEstimate,
-    estimate_moments,
-    estimate_phi_exp_mc,
-    estimate_potential_mc,
-    inverse_passage,
-    laplace_exponent_check,
-    sample_inverse_values,
-    sample_stable_increment,
-    sample_tempered_increment,
-    tail_bound_check,
-)
-from .mittag import mittag_leffler, mittag_leffler_derivative, series_domain_limit
-from .phiexp import (
-    ConvolutionPowers,
-    convolution_powers,
-    eigen_residual,
-    phi_exp,
-    phi_exp_laplace,
-    phi_exp_laplace_curve,
-    phi_exp_series,
-    phi_exp_series_curve,
-    suggest_power_count,
-)
-from .problems import (
-    RhsSpec,
-    load_problem_file,
-    make_problem,
-    rhs_affine,
-    rhs_constant,
-    rhs_linear,
-    rhs_logistic,
-    rhs_power,
-    rhs_table,
-    rhs_zero,
-)
-from .solver import (
-    HorizonSelection,
-    IvpProblem,
-    PicardState,
-    continue_solution,
-    estimate_lipschitz,
-    neumann_affine_solve,
-    pick_bielecki_tau,
-    picard_solve,
-    select_horizon,
-    solve_to_horizon,
-    verify_holder,
-)
+from . import (bernstein, errors, grids, gronwall, kernels, laplace, mc, mittag, phiexp,
+               problems, solver)
+from .bernstein import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .gronwall import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .laplace import *  # noqa: F401,F403
+from .mc import *  # noqa: F401,F403
+from .mittag import *  # noqa: F401,F403
+from .phiexp import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+
+# the public names of every submodule but the command line, in alphabetical order
+__all__ = [
+    name
+    for module in (bernstein, errors, grids, gronwall, kernels, laplace, mc, mittag, phiexp,
+                   problems, solver)
+    for name in module.__all__
+]

@@ -12,7 +12,7 @@ toolkit consumes: the value ``phi(lam)``, the jump-measure tail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "ValidationReport",
     "parse_phi_spec",
     "load_phi_config",
+    "read_kv_file",
 ]
 
 
@@ -159,10 +160,6 @@ class BernsteinFunction:
                 acc = term if acc is None else acc + term
             return acc
         return self.phi_fn(lam)
-
-    def conjugate(self, lam):
-        """lam / phi(lam)."""
-        return lam / self.phi(lam)
 
     def levy_tail(self, t):
         """Tail mass nubar(t) of the jump measure; scalar or array t > 0."""
@@ -374,13 +371,8 @@ def parse_phi_spec(spec: str) -> BernsteinFunction:
     raise ValueError(f"unknown phi kind {kind!r}; known: stable, tempered, mixture")
 
 
-def load_phi_config(path) -> BernsteinFunction:
-    """Read a catalog entry from a key-value text file.
-
-    Lines look like ``kind = stable`` / ``alpha = 0.5``; ``#`` starts a
-    comment.  Optional keys ``beta``, ``c_assump``, ``t0`` override the
-    analytic defaults.
-    """
+def read_kv_file(path) -> dict:
+    """Parse ``key = value`` lines (keys lower-cased); '#' starts a comment."""
     kv = {}
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -388,10 +380,20 @@ def load_phi_config(path) -> BernsteinFunction:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"malformed config line {raw!r}")
+                raise ValueError(f"malformed line {raw!r}")
             key, _, val = line.partition("=")
             kv[key.strip().lower()] = val.strip()
+    return kv
 
+
+def load_phi_config(path) -> BernsteinFunction:
+    """Read a catalog entry from a key-value text file.
+
+    Lines look like ``kind = stable`` / ``alpha = 0.5``; ``#`` starts a
+    comment.  Optional keys ``beta``, ``c_assump``, ``t0`` override the
+    analytic defaults.
+    """
+    kv = read_kv_file(path)
     kind = kv.pop("kind", None)
     if kind is None:
         raise ValueError("config must declare kind=")
@@ -413,7 +415,5 @@ def load_phi_config(path) -> BernsteinFunction:
     if kv:
         raise ValueError(f"unrecognized config keys: {sorted(kv)}")
     if overrides:
-        from dataclasses import replace
-
         phi = replace(phi, **overrides)
     return phi

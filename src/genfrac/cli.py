@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bernstein import load_phi_config, parse_phi_spec, validate_bernstein
+from .bernstein import load_phi_config, parse_phi_spec, read_kv_file, validate_bernstein
 from .errors import NumericalError
 from .grids import Grid
 from .gronwall import (
@@ -44,7 +44,7 @@ from .phiexp import (
     phi_exp_series_curve,
     suggest_power_count,
 )
-from .problems import load_problem_file, read_kv_file
+from .problems import load_problem_file
 from .solver import solve_to_horizon, verify_holder
 
 _CATALOG_HELP = {

@@ -6,6 +6,20 @@ from :class:`NumericalError` so callers (and the CLI) can distinguish the
 two.
 """
 
+__all__ = [
+    "NumericalError",
+    "InversionError",
+    "AbscissaError",
+    "KernelConsistencyError",
+    "TruncationError",
+    "CancellationError",
+    "HorizonError",
+    "NonconvergenceError",
+    "ConfinementError",
+    "PathExhaustedError",
+    "ConditioningWarning",
+]
+
 
 class NumericalError(RuntimeError):
     """A computation failed or could not certify its own accuracy."""

@@ -88,11 +88,5 @@ class GridFunction:
         """Euclidean norm of the value at each node."""
         return np.linalg.norm(self.values, axis=1)
 
-    def sup_norm(self) -> float:
-        return float(self.node_norms().max())
-
-    def restrict(self, cells: int) -> "GridFunction":
-        return GridFunction(self.grid.prefix(cells), self.values[: cells + 1].copy())
-
     def __repr__(self):
         return f"GridFunction(d={self.dim}, {self.grid!r})"

@@ -21,7 +21,7 @@ not violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -108,9 +108,8 @@ def apply_B(kt: KernelTable, g: GridFunction, f: GridFunction) -> GridFunction:
 
 
 def _power_tail(c: float, beta: float, g_max: float, horizon: float, a_sup: float, k_from: int) -> float:
-    """Envelope bound on sum_{k >= k_from} ||B^k a||_inf."""
-    base = c * _gamma(beta) * g_max * horizon ** beta
-    return a_sup * mittag_leffler_tail(beta, base, k_from) if base > 0 else 0.0
+    """Envelope bound on sum_{k >= k_from} ||B^k a||_inf, with g_max = max |g|."""
+    return a_sup * mittag_leffler_tail(beta, c * _gamma(beta) * g_max * horizon ** beta, k_from)
 
 
 def series_bound(
@@ -127,7 +126,7 @@ def series_bound(
     gv = g.scalar()
     acc = a.values.copy()
     term = a.values.copy()
-    g_max = float(gv.max())
+    g_max = float(np.abs(gv).max())
     a_sup = float(np.abs(a.values).max())
     for k in range(1, k_max + 1):
         term = gv[:, None] * _frac_integral_values(kt.u_cell, term)
@@ -221,19 +220,16 @@ def check_instance(
     inst: GronwallInstance,
     kt: KernelTable,
     cp: Optional[ConvolutionPowers] = None,
-    k_max: Optional[int] = None,
-    tol: float = 1e-10,
 ) -> InstanceReport:
     """Verify x <= series <= envelope (and the monotone form when
     applicable) within 1e-8 plus twice the quadrature-error estimate.
 
-    ``k_max`` defaults to the power count of ``cp`` (the envelope
-    certificate can need far more terms than the empirical decay when the
-    fitted kernel envelope is loose), else 64.
+    The series bound may use as many terms as ``cp`` holds powers (the
+    envelope certificate can need far more terms than the empirical decay
+    when the fitted kernel envelope is loose), or 64 without ``cp``.
     """
     inst.require_valid()
-    if k_max is None:
-        k_max = cp.k_max if cp is not None else 64
+    k_max = cp.k_max if cp is not None else 64
     if inst.grid != kt.grid:
         raise ValueError("instance grid does not match the kernel table")
     xv = inst.x.scalar()
@@ -243,7 +239,7 @@ def check_instance(
     memory = _frac_integral_values(kt.u_cell, inst.x.values)[:, 0]
     certificate_ok = bool(np.all(xv <= av + gv * memory + 1e-10))
 
-    sb = series_bound(kt, inst.g, inst.a, k_max=k_max, tol=tol).scalar()
+    sb = series_bound(kt, inst.g, inst.a, k_max=k_max).scalar()
     mb = ml_bound(kt, inst.g, inst.a).scalar()
     slack = 1e-8 + 2.0 * _quadrature_slack(kt, inst.g, sb)
 
@@ -273,19 +269,14 @@ def check_instance(
     )
 
 
-def saturated_instance(
-    kt: KernelTable,
-    g: GridFunction,
-    a: GridFunction,
-    tol: float = 1e-12,
-    max_iter: int = 2000,
-) -> GronwallInstance:
-    """Equality case: x solving x = a + B x by direct iteration."""
+def saturated_instance(kt: KernelTable, g: GridFunction, a: GridFunction) -> GronwallInstance:
+    """Equality case: x solving x = a + B x by direct iteration, to a
+    relative step of 1e-12 within 2000 sweeps."""
     x = a.values.copy()
     gv = g.scalar()[:, None]
-    for _ in range(max_iter):
+    for _ in range(2000):
         new = a.values + gv * _frac_integral_values(kt.u_cell, x)
-        if float(np.abs(new - x).max()) < tol * (1.0 + float(np.abs(new).max())):
+        if float(np.abs(new - x).max()) < 1e-12 * (1.0 + float(np.abs(new).max())):
             x = new
             break
         x = new
@@ -300,17 +291,16 @@ def _smooth_positive(rng, nodes: np.ndarray, lo: float, hi: float) -> np.ndarray
     return np.interp(nodes, knots_t, knots_v)
 
 
-def random_instance(
-    kt: KernelTable, rng: np.random.Generator, a_max: float = 2.0, g_max: float = 1.5
-) -> GronwallInstance:
-    """Random valid instance: positive spline a, nondecreasing spline g and
-    x = a + B(r * a) with r in [0, 1], which guarantees the inequality."""
+def random_instance(kt: KernelTable, rng: np.random.Generator) -> GronwallInstance:
+    """Random valid instance: positive spline a <= 2, nondecreasing spline
+    g <= 1.5 and x = a + B(r * a) with r in [0, 1], which guarantees the
+    inequality."""
     nodes = kt.grid.nodes
-    av = _smooth_positive(rng, nodes, 0.1, a_max)
+    av = _smooth_positive(rng, nodes, 0.1, 2.0)
     knots = np.linspace(0.0, nodes[-1], 6)
     increments = rng.uniform(0.0, 1.0, size=6)
     gk = np.cumsum(increments)
-    gk = gk / gk[-1] * rng.uniform(0.3, 1.0) * g_max
+    gk = gk / gk[-1] * rng.uniform(0.3, 1.0) * 1.5
     gv = np.interp(nodes, knots, gk)
     a = GridFunction(kt.grid, av)
     g = GridFunction(kt.grid, gv)
@@ -346,18 +336,15 @@ def run_random_harness(
     cp: ConvolutionPowers,
     n_instances: int,
     master_seed: int = 0,
-    k_max: Optional[int] = None,
 ) -> HarnessReport:
     """Check the bound chain on seeded random instances."""
-    if k_max is None:
-        k_max = cp.k_max
     seeds = np.random.SeedSequence(master_seed).spawn(n_instances)
     cert = series_v = order_v = mono_v = 0
     worst_series = math.inf
     worst_order = math.inf
     for ss in seeds:
         inst = random_instance(kt, np.random.default_rng(ss))
-        rep = check_instance(inst, kt, cp, k_max=k_max)
+        rep = check_instance(inst, kt, cp)
         cert += 0 if rep.certificate_ok else 1
         series_v += 0 if rep.ok_series else 1
         order_v += 0 if rep.ok_order else 1
@@ -389,6 +376,8 @@ class ContinuityReport:
 
 #: relative quadrature allowance on the continuity bounds
 _CONTINUITY_SLACK = 0.05
+#: Picard tolerance of every continuity run; twice it is allowed on top of each bound
+_CONTINUITY_TOL = 1e-10
 
 
 def continuity_experiment_initial(
@@ -397,8 +386,6 @@ def continuity_experiment_initial(
     cp: ConvolutionPowers,
     R: float,
     deltas,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> ContinuityReport:
     """Perturb the initial datum and compare the solution deviation with
     |delta| * e(T'; L), the Lipschitz factor of the solution map.
@@ -409,9 +396,9 @@ def continuity_experiment_initial(
     """
     f0 = problem.f0
     r_tilde = R + 1.0 + float(np.linalg.norm(f0))
-    m, _ = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
+    m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     L = float(problem.lip_l(r_tilde))
-    base, _ = picard_solve(problem, kt, R, tol=tol, max_iter=max_iter, horizon_index=m)
+    base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
     factor = phi_exp(kt.phi, cp, L, m) if kt.phi is not None else phi_exp_series_curve(cp, L)[m]
 
     rows = []
@@ -421,19 +408,10 @@ def continuity_experiment_initial(
         dnorm = float(np.linalg.norm(dvec))
         if dnorm > 1.0:
             raise ValueError("perturbations must stay inside the unit ball")
-        pert = IvpProblem(
-            rhs=problem.rhs,
-            f0=f0 + dvec,
-            horizon=problem.horizon,
-            dim=problem.dim,
-            bound_c=problem.bound_c,
-            lip_l=problem.lip_l,
-            vectorized=problem.vectorized,
-            label=problem.label,
-        )
-        sol, _ = picard_solve(pert, kt, R, tol=tol, max_iter=max_iter, horizon_index=m)
+        pert = replace(problem, f0=f0 + dvec)
+        sol, _ = picard_solve(pert, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
         deviation = float(np.linalg.norm(sol.values - base.values, axis=1).max())
-        bound = dnorm * factor * (1.0 + _CONTINUITY_SLACK) + 2.0 * tol
+        bound = dnorm * factor * (1.0 + _CONTINUITY_SLACK) + 2.0 * _CONTINUITY_TOL
         ok = deviation <= bound
         all_ok &= ok
         rows.append(
@@ -471,8 +449,6 @@ def continuity_experiment_parameter(
     v0,
     deltas,
     R: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> ContinuityReport:
     """Perturb the parameter and compare nodewise deviations with
     lip_param * |dv| * U(t) * e(t; lip_state)."""
@@ -480,7 +456,7 @@ def continuity_experiment_parameter(
     base_problem = family.make(v0)
     sel = select_horizon(base_problem, kt, R)
     m = sel.index
-    base, _ = picard_solve(base_problem, kt, R, tol=tol, max_iter=max_iter, horizon_index=m)
+    base, _ = picard_solve(base_problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
     e_curve = phi_exp_series_curve(cp, family.lip_state)[: m + 1]
     envelope = kt.U_node[: m + 1] * e_curve
 
@@ -489,11 +465,11 @@ def continuity_experiment_parameter(
     for delta in deltas:
         dvec = np.atleast_1d(np.asarray(delta, dtype=float))
         dnorm = float(np.linalg.norm(dvec))
-        sol, _ = picard_solve(
-            family.make(v0 + dvec), kt, R, tol=tol, max_iter=max_iter, horizon_index=m
-        )
+        sol, _ = picard_solve(family.make(v0 + dvec), kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
         deviation = np.linalg.norm(sol.values - base.values, axis=1)
-        bound = family.lip_param * dnorm * envelope * (1.0 + _CONTINUITY_SLACK) + 2.0 * tol
+        bound = (
+            family.lip_param * dnorm * envelope * (1.0 + _CONTINUITY_SLACK) + 2.0 * _CONTINUITY_TOL
+        )
         ok = bool(np.all(deviation <= bound))
         all_ok &= ok
         rows.append(

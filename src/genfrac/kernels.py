@@ -41,6 +41,10 @@ __all__ = [
     "kernel_table_from_csv",
 ]
 
+#: share of [0, T] left out as the initial boundary layer by the interior
+#: error measures of the operators and of the eigen residual
+INTERIOR_FRAC = 0.05
+
 
 @dataclass
 class KernelTable:
@@ -202,24 +206,18 @@ def frac_integral(kt: KernelTable, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _frac_integral_values(kt.u_cell, f.values))
 
 
-def caputo_derivative(
-    kt: KernelTable, f: GridFunction, nu_cell: Optional[np.ndarray] = None
-) -> GridFunction:
+def caputo_derivative(kt: KernelTable, f: GridFunction) -> GridFunction:
     """Memory derivative via the absolutely-continuous form.
 
-    (D f)(t_i) ~= sum_{j<i} nu_cell[i-1-j] * (f_{j+1} - f_j)/h, i.e. the
-    integrated jump tail against per-cell difference quotients.  The value
-    at t=0 is reported as the first interior value.  Accurate away from a
-    short initial boundary layer; for inputs with U-like roughness at 0
-    the first few nodes overshoot by design of the difference quotient.
+    (D f)(t_i) ~= sum_{j<i} kt.nu_cell[i-1-j] * (f_{j+1} - f_j)/h, i.e. the
+    table's integrated jump tail against per-cell difference quotients.
+    The value at t=0 is reported as the first interior value.  Accurate
+    away from a short initial boundary layer; for inputs with U-like
+    roughness at 0 the first few nodes overshoot by design of the
+    difference quotient.
     """
     _require_same_grid(kt, f)
-    cells = kt.nu_cell if nu_cell is None else np.asarray(nu_cell, dtype=float)
-    if cells.shape != (kt.grid.cells,):
-        raise ValueError(
-            f"nu_cell must have shape ({kt.grid.cells},), got {cells.shape}"
-        )
-    return GridFunction(f.grid, _caputo_values(cells, f.values, kt.grid.step))
+    return GridFunction(f.grid, _caputo_values(kt.nu_cell, f.values, kt.grid.step))
 
 
 @dataclass
@@ -230,32 +228,28 @@ class InversionIdentityReport:
     ``err_deriv_int``  : || D(I f) - (f - f(0)) ||_inf        (includes the
     constant offset |f(0)| whenever f(0) != 0, because the
     derivative-after-integral composition reproduces f itself)
-    ``*_interior`` variants take the sup over t >= interior_frac * T only.
+    ``*_interior`` variants take the sup over t >= INTERIOR_FRAC * T only.
     """
 
     err_int_deriv: float
     err_deriv_int: float
     err_int_deriv_interior: float
     err_deriv_int_interior: float
-    interior_frac: float
 
 
-def check_inversion_identity(
-    kt: KernelTable, f: GridFunction, interior_frac: float = 0.05
-) -> InversionIdentityReport:
+def check_inversion_identity(kt: KernelTable, f: GridFunction) -> InversionIdentityReport:
     _require_same_grid(kt, f)
     base = f.values - f.values[0]
     a = _frac_integral_values(kt.u_cell, _caputo_values(kt.nu_cell, f.values, kt.grid.step))
     b = _caputo_values(kt.nu_cell, _frac_integral_values(kt.u_cell, f.values), kt.grid.step)
     err_a = np.linalg.norm(a - base, axis=1)
     err_b = np.linalg.norm(b - base, axis=1)
-    mask = kt.grid.nodes >= interior_frac * kt.grid.horizon
+    mask = kt.grid.nodes >= INTERIOR_FRAC * kt.grid.horizon
     return InversionIdentityReport(
         err_int_deriv=float(err_a.max()),
         err_deriv_int=float(err_b.max()),
         err_int_deriv_interior=float(err_a[mask].max()),
         err_deriv_int_interior=float(err_b[mask].max()),
-        interior_frac=interior_frac,
     )
 
 

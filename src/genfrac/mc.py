@@ -119,6 +119,14 @@ def sample_tempered_increment(
     return float(out[0]) if size is None else out
 
 
+def _draw_increments(cfg: McConfig, rng: np.random.Generator, size):
+    """Increments of ``cfg.phi``'s subordinator over steps cfg.dt: an array
+    of ``size`` draws, or one float when ``size`` is None."""
+    if cfg.phi.kind == "stable":
+        return sample_stable_increment(cfg.phi.alpha, cfg.dt, rng, size=size)
+    return sample_tempered_increment(cfg.phi.alpha, cfg.phi.theta, cfg.dt, rng, size=size)
+
+
 def inverse_passage(increments: np.ndarray, t: float, dt: float) -> float:
     """First operational time y (a multiple of dt) with sigma(y) > t.
 
@@ -148,8 +156,6 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
     t_top = float(targets.max())
     out = np.empty((cfg.n_paths, targets.size))
     order = np.argsort(np.argsort([float(t) for t in t_targets]))  # undo the sort later
-    stable_kind = cfg.phi.kind == "stable"
-    alpha, theta = cfg.phi.alpha, cfg.phi.theta
     for i in range(cfg.n_paths):
         rng = _path_rng(cfg.seed, i)
         chunks = []
@@ -161,10 +167,7 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
                 raise PathExhaustedError(
                     f"path {i} exceeded {_MAX_STEPS_PER_PATH} steps before passage"
                 )
-            if stable_kind:
-                inc = sample_stable_increment(alpha, cfg.dt, rng, size=block)
-            else:
-                inc = sample_tempered_increment(alpha, theta, cfg.dt, rng, size=block)
+            inc = _draw_increments(cfg, rng, block)
             chunks.append(inc)
             total += float(inc.sum())
             steps += block
@@ -235,23 +238,23 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
     """Empirical E[exp(-lam sigma(dt))] against exp(-dt phi(lam)).
 
     One increment per path (the first of its stream); rows are dicts with
-    the empirical mean, its standard error, and the analytic target.
+    the empirical mean m, its standard error and the analytic target.  The
+    samples lie in [0, 1], so their variance is at most m (1 - m); the
+    standard error is that bound, sqrt(m (1 - m) / n), because a few rare
+    large increments dominate the sample's own spread and make it
+    understate the error.
     """
-    inc = np.empty(cfg.n_paths)
-    for i in range(cfg.n_paths):
-        rng = _path_rng(cfg.seed, i)
-        if cfg.phi.kind == "stable":
-            inc[i] = sample_stable_increment(cfg.phi.alpha, cfg.dt, rng)
-        else:
-            inc[i] = sample_tempered_increment(cfg.phi.alpha, cfg.phi.theta, cfg.dt, rng)
+    inc = np.array(
+        [_draw_increments(cfg, _path_rng(cfg.seed, i), None) for i in range(cfg.n_paths)]
+    )
     rows = []
     for lam in lambdas:
-        est = _mean_se(np.exp(-lam * inc))
+        m = float(np.mean(np.exp(-lam * inc)))
         rows.append(
             {
                 "lam": float(lam),
-                "empirical": est.value,
-                "std_error": est.std_error,
+                "empirical": m,
+                "std_error": math.sqrt(max(m * (1.0 - m), 0.0) / cfg.n_paths),
                 "target": math.exp(-cfg.dt * float(cfg.phi.phi(lam))),
             }
         )

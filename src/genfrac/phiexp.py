@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bernstein import BernsteinFunction
 from .errors import CancellationError, ConditioningWarning, TruncationError
 from .grids import Grid, GridFunction
-from .kernels import KernelTable, _caputo_values, _frac_integral_values
-from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert, invert_grid
+from .kernels import INTERIOR_FRAC, KernelTable, _caputo_values, _frac_integral_values
+from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert_grid
 from .mittag import mittag_leffler_tail
 
 __all__ = [
@@ -83,13 +83,13 @@ def _majorant_tail(cp: ConvolutionPowers, lam_abs: float, t: float, k_from: int)
     return cp.c_env_U * cp.beta / cp.c_env_u * mittag_leffler_tail(cp.beta, x, k_from)
 
 
-def suggest_power_count(kt: KernelTable, lam: float, rel_tol: float = SERIES_TOL) -> int:
+def suggest_power_count(kt: KernelTable, lam: float) -> int:
     """Smallest K whose certified tail at t = T meets the series criterion.
 
     Uses the kernel envelopes only.  Values at lam >= 0 are always >= 1
     (every term is nonnegative, the leading one is 1), so an absolute tail
-    of rel_tol suffices there; alternating sums can be much smaller than
-    any partial, so the target drops to rel_tol/100 (covering values down
+    of SERIES_TOL suffices there; alternating sums can be much smaller than
+    any partial, so the target drops to SERIES_TOL/100 (covering values down
     to 0.01 -- beyond that the cancellation guard rejects the series
     route anyway).
     """
@@ -104,7 +104,7 @@ def suggest_power_count(kt: KernelTable, lam: float, rel_tol: float = SERIES_TOL
     t = kt.grid.horizon
     if lam_abs == 0.0:
         return 1
-    target = rel_tol * (0.01 if lam < 0 else 1.0)
+    target = SERIES_TOL * (0.01 if lam < 0 else 1.0)
     for k in range(1, 2048):
         if _majorant_tail(probe, lam_abs, t, k + 1) <= target:
             return max(k + 2, 4)
@@ -113,7 +113,17 @@ def suggest_power_count(kt: KernelTable, lam: float, rel_tol: float = SERIES_TOL
     )
 
 
-def _series_terms(cp: ConvolutionPowers, lam: float, t_index: int, rel_tol: float):
+def _check_cancellation(gross: float, total: float, lam: float, where: str) -> None:
+    """Refuse an alternating sum whose sum|term| exceeds CANCELLATION_LIMIT * |sum|."""
+    scale = max(abs(total), 1e-300)
+    if gross > CANCELLATION_LIMIT * scale:
+        raise CancellationError(
+            f"alternating series amplification {gross / scale:.2e} exceeds "
+            f"{CANCELLATION_LIMIT:.0e} at lam={lam}{where}; use the Laplace route"
+        )
+
+
+def _series_terms(cp: ConvolutionPowers, lam: float, t_index: int):
     """Terms lam^k u_k(t_i) up to a certified truncation point."""
     i = t_index
     t = cp.grid.nodes[i]
@@ -132,23 +142,19 @@ def _series_terms(cp: ConvolutionPowers, lam: float, t_index: int, rel_tol: floa
         running += term
         gross += abs(term)
         tail = _majorant_tail(cp, lam_abs, t, k + 1)
-        if tail <= rel_tol * max(abs(running), 1e-300):
+        if tail <= SERIES_TOL * max(abs(running), 1e-300):
             return terms, tail
-    if lam < 0 and gross > CANCELLATION_LIMIT * max(abs(running), 1e-300):
-        raise CancellationError(
-            f"alternating series amplification {gross / max(abs(running), 1e-300):.2e} "
-            f"exceeds {CANCELLATION_LIMIT:.0e} at lam={lam}; use the Laplace route"
-        )
+    if lam < 0:
+        _check_cancellation(gross, running, lam, "")
+    tail = _majorant_tail(cp, lam_abs, t, cp.k_max + 1)
     raise TruncationError(
         f"series not certified within k_max={cp.k_max} at t={t:g}, lam={lam:g}; "
-        f"estimated tail {_majorant_tail(cp, lam_abs, t, cp.k_max + 1):.3e}",
-        tail_estimate=_majorant_tail(cp, lam_abs, t, cp.k_max + 1),
+        f"estimated tail {tail:.3e}",
+        tail_estimate=tail,
     )
 
 
-def phi_exp_series(
-    cp: ConvolutionPowers, lam: float, t_index: int, rel_tol: float = SERIES_TOL
-) -> float:
+def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
     """Series value of the eigenfunction at grid node ``t_index``.
 
     Raises :class:`TruncationError` when the stored powers cannot certify
@@ -158,26 +164,19 @@ def phi_exp_series(
     """
     if not 0 <= t_index <= cp.grid.cells:
         raise ValueError(f"t_index out of range 0..{cp.grid.cells}")
-    terms, _tail = _series_terms(cp, lam, t_index, rel_tol)
+    terms, _tail = _series_terms(cp, lam, t_index)
     total = math.fsum(terms)
     if lam < 0:
-        gross = math.fsum(abs(x) for x in terms)
-        if gross > CANCELLATION_LIMIT * max(abs(total), 1e-300):
-            raise CancellationError(
-                f"alternating series amplification {gross / max(abs(total), 1e-300):.2e} "
-                f"exceeds {CANCELLATION_LIMIT:.0e} at lam={lam}; use the Laplace route"
-            )
+        _check_cancellation(math.fsum(abs(x) for x in terms), total, lam, "")
     return total
 
 
-def phi_exp_series_curve(
-    cp: ConvolutionPowers, lam: float, rel_tol: float = SERIES_TOL
-) -> np.ndarray:
+def phi_exp_series_curve(cp: ConvolutionPowers, lam: float) -> np.ndarray:
     """Series values at every grid node (certified at the worst node t=T)."""
     if lam == 0.0:
         return np.ones(cp.grid.cells + 1)
     # find the node-T truncation once; reuse for the whole curve
-    terms_T, _ = _series_terms(cp, lam, cp.grid.cells, rel_tol)
+    terms_T, _ = _series_terms(cp, lam, cp.grid.cells)
     K = len(terms_T) - 1
     direct = abs(lam) <= 1.0 or K * math.log(abs(lam)) < 690.0
     powers = lam ** np.arange(K + 1) if direct else None
@@ -198,12 +197,7 @@ def phi_exp_series_curve(
     for i in range(cp.grid.cells + 1):
         col = mat[:, i]
         total = math.fsum(col.tolist())
-        gross = float(np.abs(col).sum())
-        if gross > CANCELLATION_LIMIT * max(abs(total), 1e-300):
-            raise CancellationError(
-                f"alternating series amplification beyond trust at node {i}; "
-                "use the Laplace route"
-            )
+        _check_cancellation(float(np.abs(col).sum()), total, lam, f" (node {i})")
         out[i] = total
     return out
 
@@ -243,12 +237,7 @@ def phi_exp_laplace(
     """Eigenfunction value by inversion of phi(z)/(z (phi(z) - lam))."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    shift = _eigen_shift(phi, lam, cfg)
-    guard = 1e-8 * max(1.0, abs(lam))
-    transform = _eigen_transform(phi, lam, guard)
-    from dataclasses import replace
-
-    return invert(transform, t, replace(cfg, abscissa_shift=shift))
+    return float(phi_exp_laplace_curve(phi, lam, [t], cfg)[0])
 
 
 def phi_exp_laplace_curve(
@@ -258,33 +247,24 @@ def phi_exp_laplace_curve(
     shift = _eigen_shift(phi, lam, cfg)
     guard = 1e-8 * max(1.0, abs(lam))
     transform = _eigen_transform(phi, lam, guard)
-    from dataclasses import replace
-
     return invert_grid(transform, ts, replace(cfg, abscissa_shift=shift))
 
 
-def phi_exp(
-    phi: BernsteinFunction,
-    cp: ConvolutionPowers,
-    lam: float,
-    t_index: int,
-    cfg: InversionConfig = DEFAULT_CONFIG,
-) -> float:
-    """Series evaluation with automatic fallback to the Laplace route when
-    the series refuses (cancellation or uncertified tail)."""
+def phi_exp(phi: BernsteinFunction, cp: ConvolutionPowers, lam: float, t_index: int) -> float:
+    """Series evaluation with automatic fallback to the Laplace route, under
+    the default Gaver-Stehfest order 16, when the series refuses
+    (cancellation or uncertified tail)."""
     try:
         return phi_exp_series(cp, lam, t_index)
     except (CancellationError, TruncationError):
         t = float(cp.grid.nodes[t_index])
         if t == 0.0:
             return 1.0
-        return phi_exp_laplace(phi, lam, t, cfg)
+        return phi_exp_laplace(phi, lam, t)
 
 
-def eigen_residual(
-    kt: KernelTable, lam: float, e_values: GridFunction, interior_frac: float = 0.05
-) -> float:
-    """Sup of |D e - lam e| over interior nodes (t >= interior_frac * T).
+def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:
+    """Sup of |D e - lam e| over interior nodes (t >= INTERIOR_FRAC * T).
 
     A short initial boundary layer is excluded: the difference-quotient
     derivative overshoots on the first few cells for eigenfunctions, whose
@@ -296,6 +276,6 @@ def eigen_residual(
         raise ValueError("eigenfunction values must start at 1")
     deriv = _caputo_values(kt.nu_cell, e_values.values, kt.grid.step)
     resid = np.linalg.norm(deriv - lam * e_values.values, axis=1)
-    mask = kt.grid.nodes >= interior_frac * kt.grid.horizon
+    mask = kt.grid.nodes >= INTERIOR_FRAC * kt.grid.horizon
     mask[0] = False  # endpoint value is one-sided by convention
     return float(resid[mask].max())

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bernstein import read_kv_file
 from .solver import IvpProblem
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "rhs_power",
     "rhs_table",
     "make_problem",
-    "read_kv_file",
     "load_problem_file",
 ]
 
@@ -166,21 +166,6 @@ def make_problem(spec: RhsSpec, f0, horizon: float) -> IvpProblem:
         vectorized=True,
         label=spec.label,
     )
-
-
-def read_kv_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    kv = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed line {raw!r}")
-            key, _, val = line.partition("=")
-            kv[key.strip().lower()] = val.strip()
-    return kv
 
 
 def _floats(text: str) -> list:

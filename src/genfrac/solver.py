@@ -92,7 +92,6 @@ class PicardState:
     horizon_index: int
     t_prime: float
     r_tilde: float
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ class HorizonSelection:
     t_prime: float
     index: int
     r_tilde: float
-    c_bound: float
 
 
-def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float):
-    """(m, c): the largest node index m with c * U[m] < R, c = bound_c(radius).
+def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float) -> int:
+    """The largest node index m with c * U[m] < R, c = bound_c(radius).
 
     U is nondecreasing, so the admissible nodes form a prefix and every
     node up to m satisfies the inequality as well.
@@ -121,14 +119,14 @@ def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float):
             f"no grid node satisfies bound_c*U < R (c={c:g}, R={R:g}); "
             "refine the grid or enlarge R"
         )
-    return m, c
+    return m
 
 
 def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> HorizonSelection:
     """Largest grid-aligned T' <= T with bound_c(R + |f0|) * U(T') < R."""
     r_tilde = R + float(np.linalg.norm(problem.f0))
-    m, c = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
-    return HorizonSelection(float(kt.grid.nodes[m]), m, r_tilde, c)
+    m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
+    return HorizonSelection(float(kt.grid.nodes[m]), m, r_tilde)
 
 
 def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
@@ -327,7 +325,7 @@ def continue_solution(
     f_end = prior.values[-1]
     if extend_index is None:
         r_tilde = R + float(np.linalg.norm(f_end))
-        m = mp + min(_horizon_index(problem.bound_c, r_tilde, kt.U_node, R)[0], n - mp)
+        m = mp + min(_horizon_index(problem.bound_c, r_tilde, kt.U_node, R), n - mp)
     else:
         m = int(extend_index)
         if not mp < m <= n:
@@ -342,18 +340,14 @@ def solve_to_horizon(
     R: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    target_index: Optional[int] = None,
 ):
-    """March to ``target_index`` (default: the full grid) by chained
-    restarts; returns (solution, list of per-segment states)."""
-    target = kt.grid.cells if target_index is None else int(target_index)
+    """March to the end of the grid by chained restarts; returns
+    (solution, list of per-segment states)."""
     sol, state = picard_solve(problem, kt, R, tol=tol, max_iter=max_iter)
     states = [state]
-    while sol.grid.cells < target:
+    while sol.grid.cells < kt.grid.cells:
         sol, state = continue_solution(problem, kt, sol, R, tol=tol, max_iter=max_iter)
         states.append(state)
-    if sol.grid.cells > target:
-        sol = sol.restrict(target)
     return sol, states
 
 
@@ -428,17 +422,16 @@ def neumann_affine_solve(
     return GridFunction(kt.grid, acc)
 
 
-def estimate_lipschitz(
-    rhs: Callable, dim: int, R: float, horizon: float, n_samples: int = 256, seed: int = 0
-) -> float:
-    """Heuristic state-Lipschitz estimate by sampled difference quotients.
+def estimate_lipschitz(rhs: Callable, dim: int, R: float, horizon: float) -> float:
+    """Heuristic state-Lipschitz estimate by 256 sampled difference
+    quotients from a fixed seed.
 
     This is a sampling lower bound, not a certified constant: pad it
     before feeding solver metadata.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = 0.0
-    for _ in range(n_samples):
+    for _ in range(256):
         t = float(rng.uniform(0.0, horizon))
         x = rng.uniform(-R, R, size=dim)
         y = x + rng.normal(scale=1e-4 * max(R, 1.0), size=dim)

@@ -5,9 +5,12 @@ import pytest
 from scipy.special import gammaln
 
 from genfrac import (
+    Grid,
     GridFunction,
     GronwallInstance,
     HorizonError,
+    TruncationError,
+    build_kernel_table,
     ParamFamily,
     apply_B,
     check_instance,
@@ -24,6 +27,7 @@ from genfrac import (
     saturated_instance,
     series_bound,
 )
+from genfrac import gronwall
 from genfrac.kernels import _frac_integral_values
 
 from conftest import ML_ORACLE
@@ -69,6 +73,26 @@ class TestSeriesBound:
         one = const(kt_stable_512, 1.0)
         out = series_bound(kt_stable_512, one, one, tol=1e-12)
         assert out.scalar()[-1] == pytest.approx(ML_ORACLE[(0.5, 1.0)], abs=1e-2)
+
+    def test_negative_g_tail_is_not_zero(self, stable_half):
+        kt = build_kernel_table(stable_half, Grid(1.0, 64))
+        with pytest.raises(TruncationError) as err:
+            series_bound(kt, const(kt, -3.0), const(kt, 1.0))
+        assert err.value.tail_estimate > 0
+
+    def test_negative_g_is_certified_by_the_envelope(self, stable_half, monkeypatch):
+        kt = build_kernel_table(stable_half, Grid(1.0, 64))
+        seen = []
+        tail = gronwall.mittag_leffler_tail
+
+        def spy(beta, x, k_from):
+            seen.append(x)
+            return tail(beta, x, k_from)
+
+        monkeypatch.setattr(gronwall, "mittag_leffler_tail", spy)
+        out = series_bound(kt, const(kt, -1.0), const(kt, 1.0))
+        assert seen and min(seen) > 0
+        assert out.scalar()[-1] == pytest.approx(ML_ORACLE[(0.5, -1.0)], abs=1e-3)
 
 
 class TestMlBound:

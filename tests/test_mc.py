@@ -167,6 +167,15 @@ class TestChecks:
         for row in laplace_exponent_check(cfg, [0.5, 1.0, 2.0, 5.0]):
             assert abs(row["empirical"] - row["target"]) <= 4 * row["std_error"]
 
+    def test_laplace_exponent_std_error_bounds_the_spread(self, stable_half):
+        # a few rare large increments carry the whole deviation from 1, so
+        # the sample standard error of exp(-lam sigma(dt)) understates it
+        cfg = McConfig(phi=stable_half, n_paths=5000, dt=1e-3, t_max=1.0, seed=3285388380)
+        rows = laplace_exponent_check(cfg, [0.5])
+        m = rows[0]["empirical"]
+        assert rows[0]["std_error"] == math.sqrt(m * (1.0 - m) / cfg.n_paths)
+        assert abs(m - rows[0]["target"]) <= 4 * rows[0]["std_error"]
+
     def test_tail_bound_never_violated(self, stable_cfg, inverse_samples):
         rows = tail_bound_check(stable_cfg, 1.0, [1.0, 2.0, 3.0], x=4.0)
         for row in rows:

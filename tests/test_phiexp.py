@@ -12,8 +12,10 @@ from genfrac import (
     convolution_powers,
     eigen_residual,
     mittag_leffler,
+    parse_ilt_spec,
     phi_exp,
     phi_exp_laplace,
+    phi_exp_laplace_curve,
     phi_exp_series,
     phi_exp_series_curve,
     suggest_power_count,
@@ -117,6 +119,11 @@ class TestSeriesRoute:
         with pytest.raises(CancellationError):
             phi_exp_series(cp, -6.0, 512)
 
+    def test_curve_cancellation_refusal(self, kt_stable_512):
+        cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
+        with pytest.raises(CancellationError, match=r"node \d+"):
+            phi_exp_series_curve(cp, -6.0)
+
     def test_suggest_power_count_scales(self, kt_stable_512):
         assert suggest_power_count(kt_stable_512, 0.0) == 1
         small = suggest_power_count(kt_stable_512, 0.5)
@@ -132,6 +139,14 @@ class TestLaplaceRoute:
             stable_half, 0.0, 3.0, InversionConfig(method="talbot")
         )
         assert got == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("spec", ["gs:16", "talbot:32"])
+    def test_point_is_curve_value(self, stable_half, tempered_half, spec):
+        cfg = parse_ilt_spec(spec)
+        for phi in (stable_half, tempered_half):
+            for lam in (-1.0, 0.0, 1.0):
+                curve = phi_exp_laplace_curve(phi, lam, [0.7], cfg)
+                assert phi_exp_laplace(phi, lam, 0.7, cfg) == curve[0]
 
     def test_stable_positive_eigenvalue(self, stable_half):
         got = phi_exp_laplace(stable_half, 1.0, 1.0)
