@@ -5,7 +5,8 @@ x <= a + g * I[x], three bound curves are available, ordered
 series <= mittag-leffler-envelope, plus the monotone product form when a
 is nondecreasing:
 
-* series:   sum_k B^k a   with  (B f)(t) = g(t) * I[f](t);
+* series:   the resolvent sum sum_k B^k a with (B f)(t) = g(t) * I[f](t),
+  i.e. the grid solution of x = a + B x, found by one forward solve;
 * envelope: a(t) + c G(beta+1) g(t) * int_0^t E'_beta(c G(beta) g(t)
   (t-s)^beta) (t-s)^(beta-1) a(s) ds,  built from the fitted kernel
   envelope c (the E' argument scales with (t-s)^beta so the integrand
@@ -27,10 +28,9 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .errors import TruncationError
 from .grids import Grid, GridFunction
-from .kernels import KernelTable, _frac_integral_values
-from .mittag import mittag_leffler_tail, ml_derivative_array
+from .kernels import KernelTable, _frac_integral_values, _resolvent_solve
+from .mittag import ml_derivative_array
 from .phiexp import ConvolutionPowers, phi_exp, phi_exp_series_curve
 from .solver import IvpProblem, _horizon_index, picard_solve, select_horizon
 
@@ -107,42 +107,16 @@ def apply_B(kt: KernelTable, g: GridFunction, f: GridFunction) -> GridFunction:
     return GridFunction(kt.grid, vals)
 
 
-def _power_tail(c: float, beta: float, g_max: float, horizon: float, a_sup: float, k_from: int) -> float:
-    """Envelope bound on sum_{k >= k_from} ||B^k a||_inf, with g_max = max |g|."""
-    return a_sup * mittag_leffler_tail(beta, c * _gamma(beta) * g_max * horizon ** beta, k_from)
+def series_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
+    """The resolvent sum sum_k B^k a, solved exactly on the grid as
+    x = a + B x by one forward march.
 
-
-def series_bound(
-    kt: KernelTable,
-    g: GridFunction,
-    a: GridFunction,
-    k_max: int = 64,
-    tol: float = 1e-10,
-) -> GridFunction:
-    """sum_{k=0}^{K} B^k a, truncated once the running term drops below
-    tol * ||partial||_inf and the envelope certifies the discarded tail."""
+    Raises NonconvergenceError where the sum diverges on the grid,
+    max|g| * W_0 / 2 >= 1.
+    """
     if g.grid != kt.grid or a.grid != kt.grid:
         raise ValueError("grid mismatch in series_bound")
-    gv = g.scalar()
-    acc = a.values.copy()
-    term = a.values.copy()
-    g_max = float(np.abs(gv).max())
-    a_sup = float(np.abs(a.values).max())
-    for k in range(1, k_max + 1):
-        term = gv[:, None] * _frac_integral_values(kt.u_cell, term)
-        acc += term
-        term_sup = float(np.abs(term).max())
-        acc_sup = float(np.abs(acc).max())
-        if term_sup < tol * max(acc_sup, 1e-300):
-            tail = _power_tail(kt.c_fit, kt.beta, g_max, kt.grid.horizon, a_sup, k + 1)
-            if tail <= 10.0 * tol * max(acc_sup, 1e-300):
-                return GridFunction(kt.grid, acc)
-    tail = _power_tail(kt.c_fit, kt.beta, g_max, kt.grid.horizon, a_sup, k_max + 1)
-    raise TruncationError(
-        f"series bound not certified within k_max={k_max} "
-        f"(envelope tail {tail:.3e})",
-        tail_estimate=tail,
-    )
+    return GridFunction(kt.grid, _resolvent_solve(kt.u_cell, a.values, g.scalar()))
 
 
 def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
@@ -224,12 +198,9 @@ def check_instance(
     """Verify x <= series <= envelope (and the monotone form when
     applicable) within 1e-8 plus twice the quadrature-error estimate.
 
-    The series bound may use as many terms as ``cp`` holds powers (the
-    envelope certificate can need far more terms than the empirical decay
-    when the fitted kernel envelope is loose), or 64 without ``cp``.
+    ``cp`` feeds the monotone form only; without it that check is skipped.
     """
     inst.require_valid()
-    k_max = cp.k_max if cp is not None else 64
     if inst.grid != kt.grid:
         raise ValueError("instance grid does not match the kernel table")
     xv = inst.x.scalar()
@@ -239,7 +210,7 @@ def check_instance(
     memory = _frac_integral_values(kt.u_cell, inst.x.values)[:, 0]
     certificate_ok = bool(np.all(xv <= av + gv * memory + 1e-10))
 
-    sb = series_bound(kt, inst.g, inst.a, k_max=k_max).scalar()
+    sb = series_bound(kt, inst.g, inst.a).scalar()
     mb = ml_bound(kt, inst.g, inst.a).scalar()
     slack = 1e-8 + 2.0 * _quadrature_slack(kt, inst.g, sb)
 
@@ -270,19 +241,10 @@ def check_instance(
 
 
 def saturated_instance(kt: KernelTable, g: GridFunction, a: GridFunction) -> GronwallInstance:
-    """Equality case: x solving x = a + B x by direct iteration, to a
-    relative step of 1e-12 within 2000 sweeps."""
-    x = a.values.copy()
-    gv = g.scalar()[:, None]
-    for _ in range(2000):
-        new = a.values + gv * _frac_integral_values(kt.u_cell, x)
-        if float(np.abs(new - x).max()) < 1e-12 * (1.0 + float(np.abs(new).max())):
-            x = new
-            break
-        x = new
-    else:
-        raise TruncationError("saturated instance iteration did not converge")
-    return GronwallInstance.build(kt.grid, GridFunction(kt.grid, x), a, g)
+    """Equality case: x = a + B x, the grid solution that
+    :func:`series_bound` returns, packed as an instance."""
+    x = series_bound(kt, g, a)
+    return GronwallInstance.build(kt.grid, x, a, g)
 
 
 def _smooth_positive(rng, nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .bernstein import BernsteinFunction
-from .errors import KernelConsistencyError
+from .errors import KernelConsistencyError, NonconvergenceError
 from .grids import Grid, GridFunction
 from .laplace import DEFAULT_CONFIG, InversionConfig, invert_grid
 
@@ -67,22 +67,6 @@ class KernelTable:
     c_fit: float
     c_env_U: float
     phi: Optional[BernsteinFunction] = None
-
-    def restrict(self, cells: int) -> "KernelTable":
-        """Table over the first ``cells`` cells (same step)."""
-        g = self.grid.prefix(cells)
-        return KernelTable(
-            g,
-            self.u_cell[:cells],
-            self.U_node[: cells + 1],
-            self.nu_tail_node[: cells + 1],
-            self.nu_cell[:cells],
-            self.beta,
-            self.c_assump,
-            self.c_fit,
-            self.c_env_U,
-            self.phi,
-        )
 
 
 def build_kernel_table(
@@ -181,6 +165,41 @@ def _frac_integral_values(u_cell: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     out[1:] = _conv_prefix(u_cell, avg)
     return out
+
+
+def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
+    """Grid solution of x = b + g * I[x] under the product-trapezoid rule.
+
+    ``b`` has shape (N+1, d); ``g`` is either per-node scalars of shape
+    (N+1,) or one constant d x d matrix.  The system is lower triangular:
+    x_i meets itself with weight W_0/2, node 0 enters with W_{i-1}/2 and
+    node 0 < j < i with (W_{i-1-j} + W_{i-j})/2, so one forward march
+    solves it exactly.  Where the Neumann series of the system diverges,
+    max|g_i| W_0/2 >= 1 or rho(g) W_0/2 >= 1 for a matrix (the spectral
+    radius of a lower-triangular operator is its largest diagonal entry),
+    the solve is refused.
+    """
+    n = len(u_cell)
+    half = 0.5 * u_cell[0]
+    scalar = np.ndim(g) == 1
+    radius = float(np.abs(g if scalar else np.linalg.eigvals(g)).max()) * half
+    if not radius < 1.0:
+        raise NonconvergenceError(
+            f"resolvent series diverges: diagonal weight of g*I is {radius:.3g} >= 1; "
+            "refine the grid or shorten the horizon"
+        )
+    if scalar:
+        step = lambda i, hist: (b[i] + g[i] * hist) / (1.0 - g[i] * half)  # noqa: E731
+    else:
+        solve = np.linalg.inv(np.eye(len(g)) - half * g)
+        step = lambda i, hist: solve @ (b[i] + g @ hist)  # noqa: E731
+    # mid[n-1-m] = (W_{m-1} + W_m)/2: the weights of nodes 1..i-1, newest first
+    mid = 0.5 * (u_cell[:-1] + u_cell[1:])[::-1]
+    x = np.empty_like(b, dtype=float)
+    x[0] = b[0]
+    for i in range(1, n + 1):
+        x[i] = step(i, 0.5 * u_cell[i - 1] * x[0] + mid[n - i :] @ x[1:i])
+    return x
 
 
 def _caputo_values(nu_cell: np.ndarray, values: np.ndarray, step: float) -> np.ndarray:

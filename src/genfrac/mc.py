@@ -242,8 +242,11 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
     samples lie in [0, 1], so their variance is at most m (1 - m); the
     standard error is that bound, sqrt(m (1 - m) / n), because a few rare
     large increments dominate the sample's own spread and make it
-    understate the error.
+    understate the error.  A negative lam takes the samples out of [0, 1]
+    (and phi(lam) off the real axis), so it is refused.
     """
+    if any(not lam >= 0 for lam in lambdas):
+        raise ValueError(f"laplace_exponent_check needs lam >= 0, got {list(lambdas)}")
     inc = np.array(
         [_draw_increments(cfg, _path_rng(cfg.seed, i), None) for i in range(cfg.n_paths)]
     )

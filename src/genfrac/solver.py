@@ -18,7 +18,6 @@ the first segment, a continuation from the empty history f(0) = f0;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConfinementError, HorizonError, NonconvergenceError
 from .grids import Grid, GridFunction
-from .kernels import KernelTable, _conv_prefix, _frac_integral_values
+from .kernels import KernelTable, _conv_prefix, _resolvent_solve
 
 __all__ = [
     "IvpProblem",
@@ -381,45 +380,22 @@ def verify_holder(f: GridFunction, beta: float):
     return best, HolderReport(l_est=best, argmax_pair=best_pair, beta=beta)
 
 
-def neumann_affine_solve(
-    kt: KernelTable, linmap, xi, f0, terms: int = 64
-) -> GridFunction:
-    """Series solution of D f = xi + M f, f(0) = f0, for a d x d matrix M.
+def neumann_affine_solve(kt: KernelTable, linmap, xi, f0) -> GridFunction:
+    """Grid solution of D f = xi + M f, f(0) = f0, for a d x d matrix M.
 
-    Accumulates K^k b with K g = I[M g] and b = f0 + U(t) xi, stopping
-    early when the terms are negligible; emits a divergence warning when
-    term norms stop decreasing after the third power (horizon too long for
-    this spectral radius).
+    The integral form f = b + I[M f] with b = f0 + U(t) xi is the
+    resolvent system whose Neumann series is sum_k K^k b, K g = I[M g];
+    one forward march solves it exactly.  Raises NonconvergenceError where
+    that series diverges on the grid, rho(M) * W_0 / 2 >= 1.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
     f0 = np.atleast_1d(np.asarray(f0, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d = f0.shape[0]
     M = np.atleast_2d(np.asarray(linmap, dtype=float))
     if M.shape != (d, d) or xi.shape != (d,):
         raise ValueError("linmap must be (d, d) and xi length d")
-
     b = f0[None, :] + kt.U_node[:, None] * xi[None, :]
-    acc = b.copy()
-    term = b
-    norms = [float(np.linalg.norm(term, axis=1).max())]
-    warned = False
-    for k in range(1, terms):
-        term = _frac_integral_values(kt.u_cell, term @ M.T)
-        acc += term
-        norms.append(float(np.linalg.norm(term, axis=1).max()))
-        if k > 3 and norms[-1] >= norms[-2] and not warned:
-            warnings.warn(
-                f"affine series terms stopped decreasing at power {k} "
-                f"({norms[-2]:.3e} -> {norms[-1]:.3e}); horizon too long for "
-                "this operator norm",
-                stacklevel=2,
-            )
-            warned = True
-        if norms[-1] <= 1e-15 * float(np.linalg.norm(acc, axis=1).max()):
-            break
-    return GridFunction(kt.grid, acc)
+    return GridFunction(kt.grid, _resolvent_solve(kt.u_cell, b, M))
 
 
 def estimate_lipschitz(rhs: Callable, dim: int, R: float, horizon: float) -> float:

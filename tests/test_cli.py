@@ -179,6 +179,13 @@ class TestMc:
              "--estimate", "entropy:1", "--out", str(tmp_path)]
         ) == 2
 
+    def test_negative_laplace_lambda_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            ["mc", "--phi", "stable:0.5", "--paths", "200", "--estimate", "laplace:-1",
+             "--out", str(tmp_path)]
+        ) == 2
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestPhiSources:
     def test_config_file_phi(self, tmp_path):

@@ -13,6 +13,7 @@ from genfrac import (
     kernel_table_from_csv,
     kernel_table_to_csv,
 )
+from genfrac.kernels import _frac_integral_values, _resolvent_solve
 
 from conftest import INV_GAMMA_1_5, INV_GAMMA_2_5
 
@@ -109,11 +110,27 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_kernel_table(bad, Grid(1.0, 8))
 
-    def test_restrict(self, kt_stable_512):
-        sub = kt_stable_512.restrict(100)
-        assert sub.grid.cells == 100
-        assert sub.U_node == pytest.approx(kt_stable_512.U_node[:101])
-        assert sub.grid.step == kt_stable_512.grid.step
+
+class TestResolventSolve:
+    """The forward solve against the memory integral it inverts."""
+
+    def test_scalar_g_solves_the_system(self, kt_stable_512):
+        rng = np.random.default_rng(7)
+        n = kt_stable_512.grid.cells + 1
+        b = rng.uniform(-1.0, 1.0, size=(n, 1))
+        g = rng.uniform(0.0, 1.5, size=n)
+        x = _resolvent_solve(kt_stable_512.u_cell, b, g)
+        resid = x - g[:, None] * _frac_integral_values(kt_stable_512.u_cell, x)
+        assert np.abs(resid - b).max() <= 1e-13
+
+    def test_matrix_g_solves_the_system(self, kt_stable_512):
+        rng = np.random.default_rng(8)
+        n = kt_stable_512.grid.cells + 1
+        b = rng.uniform(-1.0, 1.0, size=(n, 2))
+        M = rng.uniform(-1.0, 1.0, size=(2, 2))
+        x = _resolvent_solve(kt_stable_512.u_cell, b, M)
+        resid = x - _frac_integral_values(kt_stable_512.u_cell, x) @ M.T
+        assert np.abs(resid - b).max() <= 1e-13
 
 
 class TestFracIntegral:

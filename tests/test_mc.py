@@ -176,6 +176,13 @@ class TestChecks:
         assert rows[0]["std_error"] == math.sqrt(m * (1.0 - m) / cfg.n_paths)
         assert abs(m - rows[0]["target"]) <= 4 * rows[0]["std_error"]
 
+    @pytest.mark.parametrize("spec", ["stable_half", "tempered_half"])
+    def test_laplace_exponent_rejects_negative_lambda(self, spec, request):
+        # exp(-lam sigma) leaves [0, 1] for lam < 0, and stable phi(lam) is complex
+        cfg = McConfig(phi=request.getfixturevalue(spec), n_paths=100, dt=1e-3, t_max=1.0, seed=0)
+        with pytest.raises(ValueError):
+            laplace_exponent_check(cfg, [0.5, -1.0])
+
     def test_tail_bound_never_violated(self, stable_cfg, inverse_samples):
         rows = tail_bound_check(stable_cfg, 1.0, [1.0, 2.0, 3.0], x=4.0)
         for row in rows:

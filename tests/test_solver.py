@@ -8,6 +8,7 @@ from genfrac import (
     GridFunction,
     HorizonError,
     IvpProblem,
+    NonconvergenceError,
     NumericalError,
     continue_solution,
     estimate_lipschitz,
@@ -272,16 +273,16 @@ class TestHolder:
 
 class TestNeumann:
     def test_zero_map(self, kt_stable_512):
-        out = neumann_affine_solve(kt_stable_512, [[0.0]], [2.0], [1.0], terms=8)
+        out = neumann_affine_solve(kt_stable_512, [[0.0]], [2.0], [1.0])
         expect = 1.0 + 2.0 * kt_stable_512.U_node
         assert out.scalar() == pytest.approx(expect, rel=1e-12)
 
     def test_decay_matches_oracle(self, kt_stable_4096):
-        out = neumann_affine_solve(kt_stable_4096, [[-1.0]], [0.0], [1.0], terms=64)
+        out = neumann_affine_solve(kt_stable_4096, [[-1.0]], [0.0], [1.0])
         assert out.scalar()[-1] == pytest.approx(ML_ORACLE[(0.5, -1.0)], abs=5e-3)
 
     def test_growth_matches_series_route(self, kt_stable_4096, cp_stable_4096):
-        out = neumann_affine_solve(kt_stable_4096, [[1.0]], [0.0], [1.0], terms=64)
+        out = neumann_affine_solve(kt_stable_4096, [[1.0]], [0.0], [1.0])
         series = phi_exp_series(cp_stable_4096, 1.0, 4096)
         assert out.scalar()[-1] == pytest.approx(series, abs=5e-3)
 
@@ -290,15 +291,35 @@ class TestNeumann:
 
         problem = make_problem(rhs_affine([[-0.5]], [0.3]), [1.0], 1.0)
         pic, _ = picard_solve(problem, kt_stable_512, R=2.0, tol=1e-12, horizon_index=512)
-        neu = neumann_affine_solve(kt_stable_512, [[-0.5]], [0.3], [1.0], terms=64)
+        neu = neumann_affine_solve(kt_stable_512, [[-0.5]], [0.3], [1.0])
         assert np.abs(pic.values - neu.values).max() <= 1e-10
 
-    def test_divergence_warning(self, stable_half):
+    def test_growth_on_a_long_horizon(self, stable_half):
+        # f(4) = E_1/2(sqrt 4) = E_1/2(2)
         from genfrac import Grid, build_kernel_table
 
         kt = build_kernel_table(stable_half, Grid(4.0, 256))
-        with pytest.warns(UserWarning, match="stopped decreasing"):
-            neumann_affine_solve(kt, [[1.0]], [0.0], [1.0], terms=12)
+        out = neumann_affine_solve(kt, [[1.0]], [0.0], [1.0])
+        assert out.scalar()[-1] == pytest.approx(ML_ORACLE[(0.5, 2.0)], rel=1e-2)
+
+    def test_refuses_where_the_series_diverges(self, stable_half):
+        # W_0/2 = 0.0705 on this grid, so rho(M) = 30 puts the diagonal past 1
+        from genfrac import Grid, build_kernel_table
+
+        kt = build_kernel_table(stable_half, Grid(1.0, 64))
+        with pytest.raises(NonconvergenceError):
+            neumann_affine_solve(kt, [[30.0]], [0.0], [1.0])
+
+    def test_system_agrees_with_picard(self, stable_half):
+        from genfrac import Grid, build_kernel_table, rhs_affine
+
+        kt = build_kernel_table(stable_half, Grid(1.0, 1024))
+        M = [[-0.8, 0.6], [-0.3, 0.4]]
+        xi, f0 = [0.2, -0.1], [1.0, 0.5]
+        problem = make_problem(rhs_affine(M, xi), f0, 1.0)
+        pic, _ = picard_solve(problem, kt, R=3.0, tol=1e-13, horizon_index=1024)
+        neu = neumann_affine_solve(kt, M, xi, f0)
+        assert np.abs(pic.values - neu.values).max() <= 1e-12
 
 
 def test_estimate_lipschitz_linear():
