@@ -1,9 +1,9 @@
 """Command-line front door.
 
-Every command writes CSV curves, a JSON report that lists every resolved
-setting (no silent defaults), and a manifest whose hash covers the full
-configuration minus the timestamp; identical manifests reproduce
-byte-identical CSV bodies.
+Every command but ``catalog`` writes, through :func:`_emit`, CSV curves, a
+JSON report that lists every resolved setting (no silent defaults), and a
+manifest whose hash covers the full configuration minus the output
+directory; identical manifests reproduce byte-identical CSV bodies.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .mc import (
     estimate_phi_exp_mc,
     estimate_potential_mc,
     laplace_exponent_check,
+    sample_inverse_values,
 )
 from .phiexp import (
     convolution_powers,
@@ -79,7 +82,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(out: Path, command: str, config: dict, seed=None) -> dict:
+def _manifest(out: Path, command: str, config: dict, seed=None) -> None:
     # the output directory has no bearing on the numbers produced
     hashed = {k: v for k, v in config.items() if k != "out"}
     body = json.dumps(hashed, sort_keys=True, default=str)
@@ -93,13 +96,24 @@ def _manifest(out: Path, command: str, config: dict, seed=None) -> dict:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _write_json(out / f"{command}_manifest.json", manifest)
-    return manifest
 
 
-def _outdir(args) -> Path:
+def _emit(args, write_csv, report: dict, seed=None, **extra) -> Path:
+    """The one output path of every command that writes files.
+
+    In ``args.out`` it writes ``<command>.csv`` through ``write_csv(path)``,
+    ``<command>_report.json`` as ``{"config": config} | report`` and the
+    manifest, where ``config`` is every parsed option except ``func``
+    (``command`` among them) plus ``extra``.  Returns the CSV path.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    config = {k: v for k, v in vars(args).items() if k != "func"} | extra
+    csv_path = out / f"{args.command}.csv"
+    write_csv(csv_path)
+    _write_json(out / f"{args.command}_report.json", {"config": config} | report)
+    _manifest(out, args.command, config, seed)
+    return csv_path
 
 
 # -- commands -----------------------------------------------------------------
@@ -121,30 +135,23 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    out = _outdir(args)
     phi = _phi_from_arg(args.phi)
     cfg = parse_ilt_spec(args.ilt)
     grid = Grid(args.T, args.N)
     kt = build_kernel_table(phi, grid, cfg)
-    kernel_table_to_csv(kt, out / "kernels.csv")
-    config = vars(args) | {"command": "kernels"}
-    config.pop("func", None)
     report = {
-        "config": config,
         "beta": kt.beta,
         "c_assump": kt.c_assump,
         "c_fit": kt.c_fit,
         "c_env_U": kt.c_env_U,
         "U_at_T": kt.U_node[-1],
     }
-    _write_json(out / "kernels_report.json", report)
-    _manifest(out, "kernels", config)
-    print(f"kernels: wrote {out / 'kernels.csv'} (c_fit={kt.c_fit:.6g})")
+    path = _emit(args, partial(kernel_table_to_csv, kt), report)
+    print(f"kernels: wrote {path} (c_fit={kt.c_fit:.6g})")
     return 0
 
 
 def cmd_eigen(args) -> int:
-    out = _outdir(args)
     phi = _phi_from_arg(args.phi)
     cfg = parse_ilt_spec(args.ilt)
     grid = Grid(args.T, args.N)
@@ -166,8 +173,6 @@ def cmd_eigen(args) -> int:
         mc_cfg = McConfig(
             phi=phi, n_paths=args.paths, dt=args.dt, t_max=args.T, seed=args.seed
         )
-        from .mc import sample_inverse_values
-
         stride = max(1, grid.cells // 64)
         idx = np.arange(0, grid.cells + 1, stride)
         if idx[-1] != grid.cells:
@@ -178,39 +183,20 @@ def cmd_eigen(args) -> int:
         vals[idx[1:]] = np.exp(lam * L).mean(axis=0)
         columns["mc"] = vals
 
-    header = ["t"] + list(columns)
     names = list(columns)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            header.append(f"delta_{names[i]}_{names[j]}")
-    rows = []
-    for i, t in enumerate(grid.nodes):
-        row = [t] + [columns[n][i] for n in names]
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                d = columns[names[a]][i] - columns[names[b]][i]
-                row.append(d)
-        rows.append(row)
-    _write_csv(out / "eigen.csv", header, rows)
-
-    config = vars(args) | {"command": "eigen"}
-    config.pop("func", None)
-    deltas = {}
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            d = columns[names[a]] - columns[names[b]]
-            deltas[f"max_abs_delta_{names[a]}_{names[b]}"] = float(
-                np.nanmax(np.abs(d))
-            )
-    report = {"config": config, "methods": names} | deltas
-    _write_json(out / "eigen_report.json", report)
-    _manifest(out, "eigen", config, seed=args.seed if "mc" in methods else None)
-    print(f"eigen: wrote {out / 'eigen.csv'} with methods {names}")
+    deltas = {f"{a}_{b}": columns[a] - columns[b] for a, b in combinations(names, 2)}
+    header = ["t", *names, *(f"delta_{k}" for k in deltas)]
+    rows = np.column_stack([grid.nodes, *columns.values(), *deltas.values()])
+    report = {"methods": names} | {
+        f"max_abs_delta_{k}": float(np.nanmax(np.abs(d))) for k, d in deltas.items()
+    }
+    seed = args.seed if "mc" in methods else None
+    path = _emit(args, partial(_write_csv, header=header, rows=rows), report, seed)
+    print(f"eigen: wrote {path} with methods {names}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    out = _outdir(args)
     phi = _phi_from_arg(args.phi)
     cfg = parse_ilt_spec(args.ilt)
     problem, radius, meta = load_problem_file(args.problem)
@@ -222,13 +208,8 @@ def cmd_solve(args) -> int:
     l_est, _ = verify_holder(sol, kt.beta)
 
     header = ["t"] + [f"f{k}" for k in range(sol.dim)]
-    rows = [[t, *sol.values[i]] for i, t in enumerate(sol.grid.nodes)]
-    _write_csv(out / "solve.csv", header, rows)
-
-    config = vars(args) | {"command": "solve", "problem_meta": meta}
-    config.pop("func", None)
+    rows = np.column_stack([sol.grid.nodes, sol.values])
     report = {
-        "config": config,
         "t_prime": states[0].t_prime,
         "bielecki_tau": states[0].bielecki_tau,
         "segments": len(states),
@@ -237,23 +218,37 @@ def cmd_solve(args) -> int:
         "residual_sup": states[0].residual_sup,
         "holder_estimate": l_est,
     }
-    _write_json(out / "solve_report.json", report)
-    _manifest(out, "solve", config)
+    path = _emit(
+        args, partial(_write_csv, header=header, rows=rows), report, problem_meta=meta
+    )
     print(
         f"solve: {len(states)} segment(s), T'={states[0].t_prime:.6g}, "
-        f"holder L~{l_est:.4g}; wrote {out / 'solve.csv'}"
+        f"holder L~{l_est:.4g}; wrote {path}"
     )
     return 0
 
 
 def cmd_gronwall(args) -> int:
-    out = _outdir(args)
     phi = _phi_from_arg(args.phi)
     cfg = parse_ilt_spec(args.ilt)
-    config = vars(args) | {"command": "gronwall"}
-    config.pop("func", None)
 
-    if args.instance:
+    if args.random:
+        kt = build_kernel_table(phi, Grid(args.T, args.N), cfg)
+        cp = convolution_powers(kt, max(8, suggest_power_count(kt, 1.5)))
+        rep = run_random_harness(kt, cp, args.seeds, master_seed=args.seed)
+        counts = {
+            "instances": rep.n_instances,
+            "certificate_failures": rep.n_certificate_failures,
+            "series_violations": rep.n_series_violations,
+            "order_violations": rep.n_order_violations,
+            "monotone_violations": rep.n_monotone_violations,
+            "worst_series_margin": rep.worst_series_margin,
+            "worst_order_margin": rep.worst_order_margin,
+        }
+        header, rows = list(counts), [list(counts.values())]
+        report = {"mode": "random", "ok": rep.ok, "instances": rep.n_instances}
+        seed, summary = args.seed, f"{rep.n_instances} instances"
+    else:
         kv = read_kv_file(args.instance)
         horizon = float(kv.pop("t"))
         x = np.asarray([float(v) for v in kv.pop("x").split(",")])
@@ -266,13 +261,9 @@ def cmd_gronwall(args) -> int:
         cp = convolution_powers(kt, max(8, suggest_power_count(kt, float(g.max()))))
         inst = GronwallInstance.build(grid, x, a, g)
         rep = check_instance(inst, kt, cp)
-        rows = [
-            [t, inst.x.scalar()[i], rep.series[i], rep.ml[i], rep.slack[i]]
-            for i, t in enumerate(grid.nodes)
-        ]
-        _write_csv(out / "gronwall.csv", ["t", "x", "series_bound", "ml_bound", "slack"], rows)
-        verdict = {
-            "config": config,
+        header = ["t", "x", "series_bound", "ml_bound", "slack"]
+        rows = np.column_stack([grid.nodes, inst.x.scalar(), rep.series, rep.ml, rep.slack])
+        report = {
             "mode": "instance",
             "certificate_ok": rep.certificate_ok,
             "ok_series": rep.ok_series,
@@ -280,48 +271,13 @@ def cmd_gronwall(args) -> int:
             "ok_monotone": rep.ok_monotone,
             "ok": rep.ok,
         }
-        _write_json(out / "gronwall_report.json", verdict)
-        _manifest(out, "gronwall", config)
-        print(f"gronwall: instance ok={rep.ok}")
-        return 0 if rep.ok else 1
-
-    grid = Grid(args.T, args.N)
-    kt = build_kernel_table(phi, grid, cfg)
-    cp = convolution_powers(kt, max(8, suggest_power_count(kt, 1.5)))
-    rep = run_random_harness(kt, cp, args.seeds, master_seed=args.seed)
-    rows = [
-        [
-            rep.n_instances,
-            rep.n_certificate_failures,
-            rep.n_series_violations,
-            rep.n_order_violations,
-            rep.n_monotone_violations,
-            rep.worst_series_margin,
-            rep.worst_order_margin,
-        ]
-    ]
-    _write_csv(
-        out / "gronwall.csv",
-        [
-            "instances",
-            "certificate_failures",
-            "series_violations",
-            "order_violations",
-            "monotone_violations",
-            "worst_series_margin",
-            "worst_order_margin",
-        ],
-        rows,
-    )
-    verdict = {"config": config, "mode": "random", "ok": rep.ok, "instances": rep.n_instances}
-    _write_json(out / "gronwall_report.json", verdict)
-    _manifest(out, "gronwall", config, seed=args.seed)
-    print(f"gronwall: {rep.n_instances} instances, ok={rep.ok}")
+        seed, summary = None, "instance"
+    _emit(args, partial(_write_csv, header=header, rows=rows), report, seed)
+    print(f"gronwall: {summary} ok={rep.ok}")
     return 0 if rep.ok else 1
 
 
 def cmd_mc(args) -> int:
-    out = _outdir(args)
     phi = _phi_from_arg(args.phi)
     kind, _, params = args.estimate.partition(":")
     kind = kind.lower()
@@ -360,12 +316,9 @@ def cmd_mc(args) -> int:
     else:
         raise ValueError(f"unknown estimate kind {kind!r} (use U|phiexp|moments|laplace)")
 
-    _write_csv(out / "mc.csv", header, rows)
-    config = vars(args) | {"command": "mc"}
-    config.pop("func", None)
-    _write_json(out / "mc_report.json", {"config": config, "rows": len(rows)})
-    _manifest(out, "mc", config, seed=args.seed)
-    print(f"mc: wrote {out / 'mc.csv'} ({len(rows)} row(s))")
+    report = {"rows": len(rows)}
+    path = _emit(args, partial(_write_csv, header=header, rows=rows), report, args.seed)
+    print(f"mc: wrote {path} ({len(rows)} row(s))")
     return 0
 
 
@@ -422,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gronwall", help="verify the bound chain on instances")
     common(p)
-    p.add_argument("--instance", default=None, help="key-value instance file (t,x,a,g)")
-    p.add_argument("--random", action="store_true", help="run the seeded random harness")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--instance", default=None, help="key-value instance file (t,x,a,g)")
+    mode.add_argument("--random", action="store_true", help="run the seeded random harness")
     p.add_argument("--seeds", type=int, default=100, help="number of random instances")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_gronwall)

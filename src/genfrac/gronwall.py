@@ -58,6 +58,11 @@ __all__ = [
 _SLACK_SCALE = 4.0
 
 
+def _nondecreasing(v: np.ndarray) -> bool:
+    """v never drops by more than rounding at its own scale, 1e-12 (1 + max|v|)."""
+    return bool(np.all(np.diff(v) >= -1e-12 * (1.0 + float(np.abs(v).max()))))
+
+
 @dataclass
 class GronwallInstance:
     """Scalar triple (x, a, g) subject to x <= a + g * I[x]."""
@@ -80,7 +85,6 @@ class GronwallInstance:
             if f.dim != 1 or f.grid != grid:
                 raise ValueError("instance functions must be scalar on the given grid")
         av, gv = fa.scalar(), fg.scalar()
-        wiggle = 1e-12 * (1.0 + float(np.abs(gv).max()))
         return cls(
             grid=grid,
             x=fx,
@@ -88,8 +92,8 @@ class GronwallInstance:
             g=fg,
             a_nonneg=bool(np.all(av >= -1e-12)),
             g_nonneg=bool(np.all(gv >= -1e-12)),
-            g_nondecreasing=bool(np.all(np.diff(gv) >= -wiggle)),
-            a_nondecreasing=bool(np.all(np.diff(av) >= -wiggle)),
+            g_nondecreasing=_nondecreasing(gv),
+            a_nondecreasing=_nondecreasing(av),
         )
 
     def require_valid(self) -> None:
@@ -147,7 +151,7 @@ def monotone_bound(cp: ConvolutionPowers, g: GridFunction, a: GridFunction) -> G
     if g.grid != cp.grid or a.grid != cp.grid:
         raise ValueError("grid mismatch in monotone_bound")
     av = a.scalar()
-    if np.any(np.diff(av) < -1e-12 * (1.0 + float(np.abs(av).max()))):
+    if not _nondecreasing(av):
         raise ValueError("monotone bound requires a nondecreasing a")
     lam = float(g.scalar()[-1])
     if lam < 0:

@@ -60,7 +60,6 @@ class KernelTable:
     grid: Grid
     u_cell: np.ndarray  # shape (N,)   cell masses W_j of the potential density
     U_node: np.ndarray  # shape (N+1,) potential distribution at nodes
-    nu_tail_node: np.ndarray  # shape (N+1,) jump tail at nodes; [0] = inf
     nu_cell: np.ndarray  # shape (N,)   integrated jump tail per cell
     beta: float
     c_assump: float
@@ -111,10 +110,6 @@ def build_kernel_table(
         )
     V = np.maximum(V, 0.0)
 
-    nubar = np.empty(grid.cells + 1)
-    nubar[0] = np.inf  # the tail may diverge at 0; never evaluated there
-    nubar[1:] = phi.levy_tail(t[1:])
-
     beta = phi.beta
     cell_pow = np.diff(t ** beta) / beta  # cell masses of t**(beta-1)
     c_fit = float(np.max(W / cell_pow))
@@ -136,7 +131,6 @@ def build_kernel_table(
         grid=grid,
         u_cell=W,
         U_node=U,
-        nu_tail_node=nubar,
         nu_cell=V,
         beta=beta,
         c_assump=phi.c_assump,
@@ -308,17 +302,10 @@ def kernel_table_from_csv(path, phi: Optional[BernsteinFunction] = None) -> Kern
     W = np.array([float(r["u_cell"]) for r in rows[:-1]])
     V = np.array([float(r["nu_tail_integrated"]) for r in rows[:-1]])
     beta = float(params["beta"])
-    nubar = np.empty(n + 1)
-    nubar[0] = np.inf
-    if phi is not None:
-        nubar[1:] = phi.levy_tail(grid.nodes[1:])
-    else:
-        nubar[1:] = V / grid.step  # cell-average stand-in when phi is absent
     return KernelTable(
         grid=grid,
         u_cell=W,
         U_node=U,
-        nu_tail_node=nubar,
         nu_cell=V,
         beta=beta,
         c_assump=float(params["c_assump"]),

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bernstein import BernsteinFunction
-from .errors import ConditioningWarning, PathExhaustedError
+from .errors import ConditioningWarning, NumericalError, PathExhaustedError
 
 __all__ = [
     "McConfig",
@@ -189,12 +189,16 @@ def estimate_phi_exp_mc(cfg: McConfig, lam: float, t: float) -> McEstimate:
     """Sample mean of exp(lam * L(t)) with its standard error.
 
     For lam > 0 the summand is heavy-tailed; a warning fires when the top
-    1% of the samples carries more than half of the estimate.
+    1% of the samples carries more than half of the estimate.  A lam so
+    large that exp(lam * L) overflows raises :class:`NumericalError`.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     L = sample_inverse_values(cfg, [t])[:, 0]
-    vals = np.exp(lam * L)
+    with np.errstate(over="ignore"):  # reported below
+        vals = np.exp(lam * L)
     if not np.all(np.isfinite(vals)):
-        raise OverflowError(
+        raise NumericalError(
             f"exp(lam*L) overflowed (lam={lam}); horizon too long for this sampler"
         )
     if lam > 0:

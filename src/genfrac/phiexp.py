@@ -77,6 +77,12 @@ def convolution_powers(kt: KernelTable, k_max: int) -> ConvolutionPowers:
     )
 
 
+def _require_finite(lam: float) -> None:
+    """Refuse a non-finite lam before any tail sum spends its term budget."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+
+
 def _majorant_tail(cp: ConvolutionPowers, lam_abs: float, t: float, k_from: int) -> float:
     """sum_{k >= k_from} of the term bounds |lam|^k u_k(t) (k_from >= 1)."""
     x = lam_abs * cp.c_env_u * math.gamma(cp.beta) * t ** cp.beta
@@ -93,6 +99,7 @@ def suggest_power_count(kt: KernelTable, lam: float) -> int:
     to 0.01 -- beyond that the cancellation guard rejects the series
     route anyway).
     """
+    _require_finite(lam)
     probe = ConvolutionPowers(
         grid=kt.grid,
         u_star=np.empty((1, 1)),
@@ -164,6 +171,7 @@ def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
     """
     if not 0 <= t_index <= cp.grid.cells:
         raise ValueError(f"t_index out of range 0..{cp.grid.cells}")
+    _require_finite(lam)
     terms, _tail = _series_terms(cp, lam, t_index)
     total = math.fsum(terms)
     if lam < 0:
@@ -173,6 +181,7 @@ def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
 
 def phi_exp_series_curve(cp: ConvolutionPowers, lam: float) -> np.ndarray:
     """Series values at every grid node (certified at the worst node t=T)."""
+    _require_finite(lam)
     if lam == 0.0:
         return np.ones(cp.grid.cells + 1)
     # find the node-T truncation once; reuse for the whole curve
@@ -244,6 +253,7 @@ def phi_exp_laplace_curve(
     phi: BernsteinFunction, lam: float, ts, cfg: InversionConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
     """Vectorized Laplace route over an array of positive times."""
+    _require_finite(lam)
     shift = _eigen_shift(phi, lam, cfg)
     guard = 1e-8 * max(1.0, abs(lam))
     transform = _eigen_transform(phi, lam, guard)

@@ -163,7 +163,6 @@ def make_problem(spec: RhsSpec, f0, horizon: float) -> IvpProblem:
         dim=spec.dim,
         bound_c=spec.c_bound,
         lip_l=spec.lip_l,
-        vectorized=True,
         label=spec.label,
     )
 

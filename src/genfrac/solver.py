@@ -48,8 +48,8 @@ class IvpProblem:
     """Right-hand side with local bound/Lipschitz metadata.
 
     ``bound_c(R)`` bounds |F(t, x)| over |x| <= R, ``lip_l(R)`` bounds the
-    state-Lipschitz constant there; both must be nondecreasing in R.  Set
-    ``vectorized`` when ``rhs`` accepts (times (m,), states (m, d)) batches.
+    state-Lipschitz constant there; both must be nondecreasing in R.
+    ``rhs`` maps a batch (times (m,), states (m, d)) to an (m, d) array.
     """
 
     rhs: Callable
@@ -58,7 +58,6 @@ class IvpProblem:
     dim: int
     bound_c: Callable[[float], float]
     lip_l: Callable[[float], float]
-    vectorized: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -69,10 +68,7 @@ class IvpProblem:
             raise ValueError("horizon must be positive")
 
     def eval_rhs(self, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if self.vectorized:
-            out = np.asarray(self.rhs(ts, ys), dtype=float)
-        else:
-            out = np.asarray([self.rhs(float(t), y) for t, y in zip(ts, ys)], dtype=float)
+        out = np.asarray(self.rhs(ts, ys), dtype=float)
         if out.shape != ys.shape:
             raise ValueError(f"rhs returned shape {out.shape}, expected {ys.shape}")
         return out

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genfrac.cli import main
+import genfrac
+from genfrac.cli import build_parser, main
 
 
 def run(args):
@@ -62,6 +67,14 @@ class TestEigen:
         assert report["max_abs_delta_series_mc"] <= 0.05
         header = (out / "eigen.csv").read_text().splitlines()[0]
         assert header.startswith("t,series,laplace,mc")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_is_usage_error(self, tmp_path, capsys, lam):
+        assert run(
+            ["eigen", "--phi", "stable:0.5", "--lambda", lam, "--method", "series",
+             "--N", "64", "--out", str(tmp_path)]
+        ) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_single_method(self, tmp_path):
         out = tmp_path / "e1"
@@ -152,6 +165,14 @@ class TestGronwall:
             ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(out)]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "mode", [[], ["--random", "--instance", "inst.kv"]], ids=["neither", "both"]
+    )
+    def test_exactly_one_mode_is_required(self, tmp_path, mode):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["gronwall", "--phi", "stable:0.5", *mode, "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+
 
 class TestMc:
     def test_estimate_kinds(self, tmp_path):
@@ -186,6 +207,18 @@ class TestMc:
         ) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_overflow_is_numerical_failure(self, tmp_path):
+        # run as a process so that an unmapped exception would show as a traceback
+        env = os.environ | {"PYTHONPATH": str(Path(genfrac.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "genfrac.cli", "mc", "--phi", "stable:0.5",
+             "--paths", "200", "--estimate", "phiexp:2000,1.0", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "numerical failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestPhiSources:
     def test_config_file_phi(self, tmp_path):
@@ -203,6 +236,46 @@ class TestPhiSources:
         monkeypatch.setenv("GENFRAC_OUT", str(tmp_path / "envout"))
         assert run(["kernels", "--phi", "stable:0.5", "--T", "1.0", "--N", "32"]) == 0
         assert (tmp_path / "envout" / "kernels.csv").exists()
+
+
+class TestOutputs:
+    """One writer: every writing command records every parsed option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kernels", "--phi", "stable:0.5", "--N", "32"],
+            ["eigen", "--phi", "stable:0.5", "--lambda", "-1", "--N", "64",
+             "--paths", "200", "--dt", "5e-3"],
+            ["solve", "--phi", "stable:0.5", "--problem", "PROBLEM", "--N", "64"],
+            ["gronwall", "--phi", "stable:0.5", "--random", "--seeds", "2", "--N", "64"],
+            ["gronwall", "--phi", "stable:0.5", "--instance", "INSTANCE"],
+            ["mc", "--phi", "stable:0.5", "--paths", "200", "--estimate", "U:0.5"],
+        ],
+        ids=["kernels", "eigen", "solve", "gronwall-random", "gronwall-instance", "mc"],
+    )
+    def test_config_and_hash(self, tmp_path, problem_file, argv):
+        instance = tmp_path / "inst.kv"
+        ones = ",".join("1.0" for _ in range(65))
+        instance.write_text(f"t = 1.0\nx = {ones}\na = {ones}\ng = {ones}\n")
+        argv = [
+            {"PROBLEM": str(problem_file), "INSTANCE": str(instance)}.get(a, a) for a in argv
+        ]
+        command = argv[0]
+        hashes = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(argv + ["--out", str(out)]) == 0
+            parsed = vars(build_parser().parse_args(argv + ["--out", str(out)]))
+            parsed.pop("func")
+            config = json.loads((out / f"{command}_report.json").read_text())["config"]
+            extra = {"problem_meta"} if command == "solve" else set()
+            assert set(config) == set(parsed) | extra
+            assert config["command"] == command
+            assert all(config[k] == v for k, v in parsed.items())
+            assert (out / f"{command}.csv").exists()
+            hashes.append(json.loads((out / f"{command}_manifest.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1]
 
 
 class TestReproducibility:

@@ -15,6 +15,7 @@ from genfrac import (
     apply_B,
     check_instance,
     continuity_experiment_initial,
+    convolution_powers,
     continuity_experiment_parameter,
     make_problem,
     mittag_leffler,
@@ -26,6 +27,7 @@ from genfrac import (
     run_random_harness,
     saturated_instance,
     series_bound,
+    suggest_power_count,
 )
 from genfrac.kernels import _frac_integral_values
 
@@ -188,6 +190,19 @@ class TestCheckInstance:
         )
         with pytest.raises(ValueError):
             check_instance(inst, kt_stable_512, cp_stable_512)
+
+    def test_nondecreasing_a_judged_at_its_own_scale(self, stable_half):
+        # a drop of 4e-12 in a = 1 exceeds a's rounding allowance 2e-12 but
+        # not g's 6e-12: the instance must not be sent to the monotone bound
+        kt = build_kernel_table(stable_half, Grid(1.0, 256))
+        cp = convolution_powers(kt, suggest_power_count(kt, 5.0))
+        a = np.ones(257)
+        a[100:] -= 4e-12
+        inst = GronwallInstance.build(kt.grid, a, a, np.full(257, 5.0))
+        assert not inst.a_nondecreasing
+        rep = check_instance(inst, kt, cp)
+        assert rep.ok_monotone is None
+        assert rep.ok
 
     def test_random_harness_small(self, kt_stable_512, cp_stable_512):
         rep = run_random_harness(kt_stable_512, cp_stable_512, 20, master_seed=123)

@@ -6,6 +6,7 @@ import pytest
 from genfrac import (
     ConditioningWarning,
     McConfig,
+    NumericalError,
     PathExhaustedError,
     estimate_moments,
     estimate_phi_exp_mc,
@@ -146,6 +147,16 @@ class TestEstimates:
         cfg = McConfig(phi=stable_half, n_paths=400, dt=5e-3, t_max=1.0, seed=11)
         with pytest.warns(ConditioningWarning):
             estimate_phi_exp_mc(cfg, 5.0, 1.0)
+
+    def test_phi_exp_overflow_is_numerical_error(self, stable_half):
+        cfg = McConfig(phi=stable_half, n_paths=200, dt=1e-3, t_max=1.0, seed=42)
+        with pytest.raises(NumericalError, match="overflowed"):
+            estimate_phi_exp_mc(cfg, 2000.0, 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_phi_exp_non_finite_lambda_rejected(self, stable_cfg, lam):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_phi_exp_mc(stable_cfg, lam, 1.0)
 
     def test_determinism(self, stable_half):
         cfg = McConfig(phi=stable_half, n_paths=500, dt=2e-3, t_max=0.5, seed=99)

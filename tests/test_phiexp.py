@@ -130,6 +130,19 @@ class TestSeriesRoute:
         large = suggest_power_count(kt_stable_512, 3.0)
         assert small < large <= 200
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, stable_half, kt_stable_512, cp_stable_512, lam):
+        # refused before any tail sum spends its term budget (nan stalled the
+        # series route for minutes)
+        with pytest.raises(ValueError, match="finite"):
+            suggest_power_count(kt_stable_512, lam)
+        with pytest.raises(ValueError, match="finite"):
+            phi_exp_series(cp_stable_512, lam, 512)
+        with pytest.raises(ValueError, match="finite"):
+            phi_exp_series_curve(cp_stable_512, lam)
+        with pytest.raises(ValueError, match="finite"):
+            phi_exp_laplace_curve(stable_half, lam, [0.5, 1.0])
+
 
 class TestLaplaceRoute:
     def test_zero_eigenvalue(self, stable_half):

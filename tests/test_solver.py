@@ -41,7 +41,6 @@ def bounded_problem(c_value: float, f0=0.0, horizon=1.0):
         dim=1,
         bound_c=lambda R: c_value,
         lip_l=lambda R: 0.0,
-        vectorized=True,
     )
 
 
