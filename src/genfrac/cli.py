@@ -250,10 +250,11 @@ def cmd_gronwall(args) -> int:
         seed, summary = args.seed, f"{rep.n_instances} instances"
     else:
         kv = read_kv_file(args.instance)
-        horizon = float(kv.pop("t"))
-        x = np.asarray([float(v) for v in kv.pop("x").split(",")])
-        a = np.asarray([float(v) for v in kv.pop("a").split(",")])
-        g = np.asarray([float(v) for v in kv.pop("g").split(",")])
+        try:
+            horizon = float(kv.pop("t"))
+            x, a, g = (np.asarray([float(v) for v in kv.pop(key).split(",")]) for key in "xag")
+        except KeyError as exc:
+            raise ValueError(f"instance file missing required key: {exc}") from exc
         if kv:
             raise ValueError(f"unrecognized instance keys: {sorted(kv)}")
         grid = Grid(horizon, len(x) - 1)

@@ -14,6 +14,13 @@ Cell masses:
 U comes from closed forms (stable) or inversion of ``1/(z*phi(z))``; the
 integrated tail from closed forms (stable, tempered, mixture) or
 inversion of ``phi(z)/z**2``.
+
+Every memory integral and derivative reduces to one history sum,
+``_conv_prefix``, computed as a block-Toeplitz GEMM: one matrix product
+per block lag, each output the sum of the same products as direct
+summation.  Nonnegative values that span many orders of magnitude (the
+convolution powers) therefore keep their componentwise relative accuracy,
+which an FFT, whose error is relative to the largest output, loses.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ __all__ = [
 #: share of [0, T] left out as the initial boundary layer by the interior
 #: error measures of the operators and of the eigen residual
 INTERIOR_FRAC = 0.05
+
+#: cells per block of the history sum's block-Toeplitz product
+_BLOCK = 128
 
 
 @dataclass
@@ -144,14 +154,32 @@ def build_kernel_table(
 
 
 def _conv_prefix(kernel: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """(kernel * cells)[i-1] for i = 1..N, i.e. sum_{j<i} kernel[i-1-j]*cells[j]."""
+    """out[i] = sum_{j<=i} kernel[i-j] * cells[j] for i < n, cells of shape (n,) or (n, d).
+
+    A block-Toeplitz product: the n cells fall into m blocks of b, and the
+    lag-k block of the Toeplitz matrix, with its columns newest-first, is
+    the Hankel window ``padded[k*b + p + q]`` of the kernel behind b - 1
+    zeros (the zeros make the diagonal block lower triangular).  One GEMM
+    per lag takes every column at once, and every output stays a sum of
+    the same products as direct summation.
+    """
     n = len(cells)
-    if cells.ndim == 1:
-        return np.convolve(kernel[:n], cells)[:n]
-    out = np.empty((n, cells.shape[1]))
-    for k in range(cells.shape[1]):
-        out[:, k] = np.convolve(kernel[:n], cells[:, k])[:n]
-    return out
+    d = cells.size // n
+    b = min(_BLOCK, n)
+    m = -(-n // b)
+    padded = np.zeros((m + 1) * b - 1)
+    padded[b - 1 : b - 1 + min(n, len(kernel))] = kernel[:n]
+    hankel = np.lib.stride_tricks.sliding_window_view(padded, b)
+    # v[q, J*d + c] = cells[J*b + b-1-q, c]: block J newest-first in column block J
+    v = np.zeros((m * b, d))
+    v[:n] = cells.reshape(n, d)
+    v = v.reshape(m, b, d)[:, ::-1].transpose(1, 0, 2).reshape(b, m * d)
+    out = np.zeros((b, m * d))
+    for k in range(m):
+        # a unit-stride copy of the b x b block lets the product run in BLAS
+        h_k = np.ascontiguousarray(hankel[k * b : (k + 1) * b])
+        out[:, k * d :] += h_k @ v[:, : (m - k) * d]
+    return out.reshape(b, m, d).transpose(1, 0, 2).reshape(m * b, d)[:n].reshape(cells.shape)
 
 
 def _frac_integral_values(u_cell: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -165,6 +165,18 @@ class TestGronwall:
             ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(out)]
         ) == 1
 
+    @pytest.mark.parametrize("missing", ["t", "x", "a", "g"])
+    def test_instance_missing_key_is_usage_error(self, tmp_path, capsys, missing):
+        values = ",".join("1.0" for _ in range(65))
+        lines = {"t": "t = 1.0", "x": f"x = {values}", "a": f"a = {values}", "g": f"g = {values}"}
+        path = tmp_path / "partial.kv"
+        path.write_text("\n".join(line for key, line in lines.items() if key != missing) + "\n")
+        assert run(
+            ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(tmp_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"missing required key: '{missing}'" in err
+
     @pytest.mark.parametrize(
         "mode", [[], ["--random", "--instance", "inst.kv"]], ids=["neither", "both"]
     )
@@ -292,6 +304,24 @@ class TestReproducibility:
         ma = json.loads((a / "eigen_manifest.json").read_text())
         mb = json.loads((b / "eigen_manifest.json").read_text())
         assert ma["config_hash"] == mb["config_hash"]
+
+    def test_blas_threads_keep_csv_bytes(self, tmp_path):
+        # the history sums run through BLAS; its thread count must not move a digit
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = os.environ | {
+                "PYTHONPATH": str(Path(genfrac.__file__).parents[1]),
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            proc = subprocess.run(
+                [sys.executable, "-m", "genfrac.cli", "eigen", "--phi", "tempered:0.5,1.0",
+                 "--lambda", "-1", "--method", "series", "--N", "4096", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            bodies.append((out / "eigen.csv").read_bytes())
+        assert bodies[0] == bodies[1]
 
     def test_solve_rerun_byte_identical(self, problem_file, tmp_path):
         args = ["solve", "--phi", "stable:0.5", "--problem", str(problem_file), "--N", "128"]

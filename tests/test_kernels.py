@@ -13,7 +13,7 @@ from genfrac import (
     kernel_table_from_csv,
     kernel_table_to_csv,
 )
-from genfrac.kernels import _frac_integral_values, _resolvent_solve
+from genfrac.kernels import _conv_prefix, _frac_integral_values, _resolvent_solve
 
 from conftest import INV_GAMMA_1_5, INV_GAMMA_2_5
 
@@ -106,6 +106,24 @@ class TestBuild:
         bad = replace(stable_half, b=1.0)
         with pytest.raises(ValueError):
             build_kernel_table(bad, Grid(1.0, 8))
+
+
+class TestConvPrefix:
+    """The history sum against direct summation, across the block edges."""
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 4097])
+    @pytest.mark.parametrize("width", [None, 1, 3])
+    def test_matches_direct_convolution(self, n, width):
+        rng = np.random.default_rng(n)
+        kernel = rng.uniform(0.0, 1.0, size=n + 5)
+        shape = (n,) if width is None else (n, width)
+        cells = rng.uniform(-1.0, 1.0, size=shape)
+        got = _conv_prefix(kernel, cells)
+        columns = cells.reshape(n, -1).T
+        direct = np.stack([np.convolve(kernel[:n], c)[:n] for c in columns], axis=1)
+        assert got.shape == cells.shape
+        scale = np.abs(kernel[:n]).sum() * np.abs(cells).max()
+        assert np.abs(got - direct.reshape(shape)).max() <= 1e-14 * scale
 
 
 class TestResolventSolve:

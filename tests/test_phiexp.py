@@ -67,6 +67,28 @@ class TestConvolutionPowers:
             )
             assert np.all(cp.u_star[k, 1:] <= bound * (1.0 + 1e-9))
 
+    @pytest.mark.parametrize(
+        "table, lam", [("kt_stable_512", -6.0), ("kt_stable_4096", -3.0)], ids=["N512", "N4096"]
+    )
+    def test_high_powers_componentwise(self, request, table, lam):
+        """Every power to rtol 1e-12 against powers built by iterating np.convolve.
+
+        The powers span hundreds of orders of magnitude, so this is the guard
+        against an FFT history sum: its error is relative to the largest
+        output, and it fails here from the third power on.  N = 4096 runs
+        the history sum over 32 blocks.
+        """
+        kt = request.getfixturevalue(table)
+        k_max = suggest_power_count(kt, lam)
+        cp = convolution_powers(kt, k_max)
+        n = kt.grid.cells
+        ref = np.ones(n + 1)
+        for k in range(1, k_max + 1):
+            avg = 0.5 * (ref[:-1] + ref[1:])
+            ref = np.concatenate(([0.0], np.convolve(kt.u_cell, avg)[:n]))
+            pos = ref > 0
+            assert cp.u_star[k, pos] == pytest.approx(ref[pos], rel=1e-12, abs=0.0)
+
     def test_k_max_validation(self, kt_stable_512):
         with pytest.raises(ValueError):
             convolution_powers(kt_stable_512, 0)
