@@ -169,7 +169,12 @@ def _conv_prefix(kernel: np.ndarray, cells: np.ndarray) -> np.ndarray:
     m = -(-n // b)
     padded = np.zeros((m + 1) * b - 1)
     padded[b - 1 : b - 1 + min(n, len(kernel))] = kernel[:n]
-    hankel = np.lib.stride_tricks.sliding_window_view(padded, b)
+    # read-only Hankel view hankel[r] = padded[r : r + b]; as_strided costs a
+    # third of sliding_window_view's fixed overhead, which short calls feel
+    step = padded.strides[0]
+    hankel = np.lib.stride_tricks.as_strided(
+        padded, shape=(len(padded) - b + 1, b), strides=(step, step), writeable=False
+    )
     # v[q, J*d + c] = cells[J*b + b-1-q, c]: block J newest-first in column block J
     v = np.zeros((m * b, d))
     v[:n] = cells.reshape(n, d)

@@ -8,7 +8,9 @@ cancels down from a peak term of order exp(|z|^(1/a)), wiping out every
 digit long before overflow.  Arguments are therefore restricted to
 z <= min(30, 709**a) and -z <= min(30, 17**a) (peak term <= ~2e7, keeping
 absolute error near 1e-8); outside that the routine refuses rather than
-silently losing accuracy.
+silently losing accuracy.  The derivative E'_beta grows faster than E_beta
+and overflows first (E'_1/2 near z = 26.55, inside 709**0.5 = 26.63), so
+it also refuses wherever its sum would not be finite.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-14
+#: log of the largest double: the derivative's domain ends where its sum reaches it
+_LOG_MAX = math.log(np.finfo(float).max)
 _HARD_CAP = 20000
 #: term budget of :func:`mittag_leffler_tail` before it reports an infinite tail
 _TAIL_CAP = 100000
@@ -54,24 +58,20 @@ def _check_args(alpha: float, z: float, lo_open: bool = False) -> None:
         )
 
 
-def _series(alpha: float, z: float, start: int, weight_k: bool) -> float:
-    """sum_{k>=start} c_k z^{k-start} with c_k = (k if weight_k else 1)/Gamma(a k+1)."""
+def _series(alpha: float, z: float) -> float:
+    """sum_{k>=0} z^k / Gamma(a k + 1), summed until a term falls below
+    _REL_TOL of the running total while the terms fall."""
     if z == 0.0:
-        k = start
-        lead = (k if weight_k else 1.0) * math.exp(-float(gammaln(alpha * k + 1.0)))
-        return lead
+        return 1.0
     log_az = math.log(abs(z))
     sign_z = 1.0 if z > 0 else -1.0
     terms = []
     total = 0.0
     prev_mag = math.inf
-    k = start
+    k = 0
     while k < _HARD_CAP:
-        log_mag = (k - start) * log_az - float(gammaln(alpha * k + 1.0))
-        if weight_k:
-            log_mag += math.log(k)
-        mag = math.exp(log_mag)
-        term = mag * (sign_z ** (k - start))
+        mag = math.exp(k * log_az - float(gammaln(alpha * k + 1.0)))
+        term = mag * (sign_z ** k)
         terms.append(term)
         total += term
         if mag <= _REL_TOL * max(abs(total), 1e-300) and mag < prev_mag:
@@ -86,15 +86,47 @@ def _series(alpha: float, z: float, start: int, weight_k: bool) -> float:
 def mittag_leffler(alpha: float, z: float) -> float:
     """E_alpha(z) for 0 < alpha <= 1 inside the series-safe domain."""
     _check_args(alpha, z)
-    return _series(alpha, float(z), start=0, weight_k=False)
+    return _series(alpha, float(z))
+
+
+def derivative_log_terms(beta: float, z: float) -> np.ndarray:
+    """log(k z^(k-1) / Gamma(beta k + 1)) for k = 1..K: the terms of E'_beta(z)
+    (internal helper).
+
+    K is the first k whose term falls to _REL_TOL of the running sum while
+    the terms fall.  The derivative's domain is 0 <= z inside the
+    series-safe domain with E'_beta(z) finite in double precision; outside
+    it the routine refuses with ``ValueError``.
+    """
+    if z < 0:
+        raise ValueError(f"derivative evaluation needs z >= 0, got {z}")
+    _check_args(beta, z, lo_open=True)
+    if z == 0.0:
+        return np.array([-float(gammaln(beta + 1.0))])
+    n = 64
+    while True:
+        k = np.arange(1.0, n + 1.0)
+        log_terms = np.log(k) + (k - 1.0) * math.log(z) - gammaln(beta * k + 1.0)
+        log_sum = np.logaddexp.accumulate(log_terms)
+        done = (log_terms <= math.log(_REL_TOL) + log_sum) & (np.diff(log_terms, prepend=np.inf) < 0)
+        if done.any():
+            break
+        if n >= _HARD_CAP:  # pragma: no cover - unreachable inside the checked domain
+            raise ArithmeticError("Mittag-Leffler derivative series failed to converge")
+        n *= 4
+    K = int(np.argmax(done)) + 1
+    if not log_sum[K - 1] < _LOG_MAX:
+        raise ValueError(
+            f"E'_{beta:g}({z:g}) = exp({log_sum[K - 1]:.1f}) is not finite in double precision; "
+            f"the derivative's domain for index {beta:g} is the z >= 0 with E'(z) < exp({_LOG_MAX:.1f}); "
+            "rescale or shorten the horizon"
+        )
+    return log_terms[:K]
 
 
 def mittag_leffler_derivative(beta: float, z: float) -> float:
     """E'_beta(z) = sum_{k>=1} k z^(k-1) / Gamma(beta k + 1), z >= 0."""
-    if z < 0:
-        raise ValueError(f"derivative evaluation needs z >= 0, got {z}")
-    _check_args(beta, z, lo_open=True)
-    return _series(beta, float(z), start=1, weight_k=True)
+    return math.fsum(np.exp(derivative_log_terms(beta, float(z))))
 
 
 def mittag_leffler_tail(beta: float, x: float, k_from: int) -> float:
@@ -115,31 +147,3 @@ def mittag_leffler_tail(beta: float, x: float, k_from: int) -> float:
         if term <= 1e-16 * max(total, 1e-300):
             return total
     return math.inf
-
-
-def ml_derivative_array(beta: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized E'_beta over a nonnegative array (internal helper)."""
-    z = np.asarray(z, dtype=float)
-    if z.size == 0:
-        return z.copy()
-    if float(z.min()) < 0:
-        raise ValueError("derivative evaluation needs z >= 0")
-    _check_args(beta, float(z.max()), lo_open=True)
-    pos = z > 0.0
-    logz = np.where(pos, np.log(np.where(pos, z, 1.0)), 0.0)
-    out = np.zeros_like(z)
-    k = 1
-    while k < _HARD_CAP:
-        lg = float(gammaln(beta * k + 1.0))
-        if k == 1:
-            term = np.full_like(z, math.exp(-lg))
-        else:
-            term = np.zeros_like(z)
-            term[pos] = np.exp(math.log(k) + (k - 1) * logz[pos] - lg)
-        out += term
-        if float(term.max()) <= _REL_TOL * max(float(out.max()), 1e-300):
-            break
-        k += 1
-    else:  # pragma: no cover
-        raise ArithmeticError("Mittag-Leffler derivative series failed to converge")
-    return out

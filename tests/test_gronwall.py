@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from genfrac import (
     continuity_experiment_parameter,
     make_problem,
     mittag_leffler,
+    mittag_leffler_derivative,
     ml_bound,
     monotone_bound,
+    parse_phi_spec,
     random_instance,
     rhs_linear,
     rhs_logistic,
@@ -102,6 +105,22 @@ class TestSeriesBound:
         assert np.array_equal(out, saturated_instance(kt, g, a).x.scalar())
 
 
+def _ml_bound_per_node(kt, g, a):
+    """Reference envelope: one row per node, one scalar E'_beta per cell."""
+    t = kt.grid.nodes
+    beta, c = kt.beta, kt.c_fit
+    gv, av = g.scalar(), a.scalar()
+    a_mid = 0.5 * (av[:-1] + av[1:])
+    s_mid = t[:-1] + 0.5 * kt.grid.step
+    out = av.copy()
+    for i in range(1, kt.grid.cells + 1):
+        wgt = ((t[i] - t[:i]) ** beta - (t[i] - t[1 : i + 1]) ** beta) / beta
+        z = c * math.gamma(beta) * gv[i] * (t[i] - s_mid[:i]) ** beta
+        deriv = np.array([mittag_leffler_derivative(beta, float(zj)) for zj in z])
+        out[i] += c * math.gamma(beta + 1.0) * gv[i] * float(np.dot(wgt, deriv * a_mid[:i]))
+    return out
+
+
 class TestMlBound:
     def test_zero_a(self, kt_stable_512):
         out = ml_bound(kt_stable_512, const(kt_stable_512, 1.0), const(kt_stable_512, 0.0))
@@ -117,6 +136,65 @@ class TestMlBound:
         sb = series_bound(kt_stable_512, one, one).scalar()
         mb = ml_bound(kt_stable_512, one, one).scalar()
         assert np.all(mb >= sb - 1e-9)
+
+    @pytest.mark.parametrize(
+        "spec, cells, g_top",
+        [
+            ("stable:0.5", 128, 1.5),
+            ("tempered:0.5,1.0", 128, 1.5),
+            ("mixture:0.3@0.4+0.7@0.8", 128, 1.5),
+            ("stable:0.5", 64, 25.0),  # z up to ~25: about 1600 powers of E'
+        ],
+    )
+    def test_matches_per_node_reference(self, spec, cells, g_top):
+        kt = build_kernel_table(parse_phi_spec(spec), Grid(1.0, cells))
+        rng = np.random.default_rng(cells)
+        g = GridFunction(kt.grid, np.sort(rng.uniform(0.0, g_top, cells + 1)))
+        a = GridFunction(kt.grid, rng.uniform(0.1, 2.0, cells + 1))
+        ref = _ml_bound_per_node(kt, g, a)
+        assert ml_bound(kt, g, a).scalar() == pytest.approx(ref, rel=1e-12)
+
+    def test_constant_coefficients_converge_to_closed_form(self, stable_half):
+        # for constant a, g the envelope is a E_beta(c G(beta) g t^beta),
+        # on stable:0.5 a erfcx(-c G(1/2) g sqrt t)
+        a0, g0 = 0.8, 1.2
+        errs = []
+        for cells in (256, 1024, 4096):
+            kt = build_kernel_table(stable_half, Grid(1.0, cells))
+            t = kt.grid.nodes
+            exact = a0 * erfcx(-kt.c_fit * math.gamma(0.5) * g0 * np.sqrt(t))
+            errs.append(np.abs(ml_bound(kt, const(kt, g0), const(kt, a0)).scalar() - exact).max())
+        orders = np.log(np.array(errs[:-1]) / errs[1:]) / math.log(4.0)
+        assert np.all(orders >= 0.9), (errs, orders)
+
+    def test_derivative_domain_edge(self, stable_half):
+        # a_mid = (1, 0, 0, ...) leaves wgt_(N-1) E'(z_max) alone in the last row
+        kt = build_kernel_table(stable_half, Grid(1.0, 8))
+        t, h = kt.grid.nodes, kt.grid.step
+        a = GridFunction(kt.grid, np.r_[1.0, (-1.0) ** np.arange(kt.grid.cells)])
+        zeta_last = kt.c_fit * math.gamma(0.5) * (t[-2] + 0.5 * h) ** 0.5
+        wgt_last = (t[-1] ** 0.5 - t[-2] ** 0.5) / 0.5
+        g0 = 26.5 / zeta_last
+        row = ml_bound(kt, const(kt, g0), a).scalar()[-1] - a.scalar()[-1]
+        envelope = row / (kt.c_fit * math.gamma(1.5) * g0 * wgt_last)
+        assert envelope == pytest.approx(mittag_leffler_derivative(0.5, 26.5), rel=1e-12)
+        with pytest.raises(ValueError, match="not finite"):
+            ml_bound(kt, const(kt, 26.6 / zeta_last), a)
+
+    def test_refusals(self, kt_stable_512, tempered_half):
+        one = const(kt_stable_512, 1.0)
+        t = kt_stable_512.grid.nodes
+        with pytest.raises(ValueError, match="g >= 0"):
+            ml_bound(kt_stable_512, GridFunction(kt_stable_512.grid, t - 0.1), one)
+        with pytest.raises(ValueError, match="index"):
+            ml_bound(replace(kt_stable_512, beta=1.0), one, one)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            ml_bound(kt_stable_512, one, GridFunction.constant(Grid(1.0, 256), 1.0))
+        # z_max ~ 36 is past the series-safe domain |z| <= 26.63 of index 1/2
+        kt = build_kernel_table(tempered_half, Grid(1.0, 512))
+        g = GridFunction(kt.grid, 0.2 + 9.8 * kt.grid.nodes)
+        with pytest.raises(ValueError, match="domain"):
+            ml_bound(kt, g, const(kt, 1.0))
 
 
 class TestMonotoneBound:

@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from genfrac import mittag_leffler, mittag_leffler_derivative, series_domain_limit
-from genfrac.mittag import mittag_leffler_tail, ml_derivative_array
+from genfrac.mittag import mittag_leffler_tail
 
 from conftest import ML_ORACLE, ML_PRIME_HALF_AT_2
 
@@ -87,11 +86,20 @@ def test_negative_axis_in_unit_interval(alpha, frac):
     assert 0.0 < val <= 1.0
 
 
-def test_vectorized_derivative_matches_scalar():
-    zs = np.array([0.0, 0.2, 1.0, 2.5])
-    vec = ml_derivative_array(0.5, zs)
-    ref = np.array([mittag_leffler_derivative(0.5, z) for z in zs])
-    assert vec == pytest.approx(ref, rel=1e-12)
+def test_derivative_matches_closed_form():
+    # E_1/2(z) = erfcx(-z), so E'_1/2(z) = 2/sqrt(pi) + 2 z erfcx(-z)
+    for z in (0.0, 0.2, 1.0, 2.5, 10.0, 26.5):
+        exact = 2.0 / math.sqrt(math.pi) + 2.0 * z * float(erfcx(-z))
+        assert mittag_leffler_derivative(0.5, z) == pytest.approx(exact, rel=1e-12)
+
+
+def test_derivative_refuses_where_not_finite():
+    # 26.6 lies inside series_domain_limit(0.5) = 26.63, but E'_1/2(26.6) ~ exp(712)
+    assert math.isfinite(mittag_leffler_derivative(0.5, 26.5))
+    with pytest.raises(ValueError, match="not finite"):
+        mittag_leffler_derivative(0.5, 26.6)
+    with pytest.raises(ValueError, match="not finite"):
+        mittag_leffler_derivative(0.2, 0.999 * series_domain_limit(0.2))
 
 
 class TestTail:
