@@ -215,7 +215,7 @@ def cmd_solve(args) -> int:
         "segments": len(states),
         "iterations": [s.iteration_count for s in states],
         "contraction_ratios": [s.contraction_ratio_estimates for s in states],
-        "residual_sup": states[0].residual_sup,
+        "residual_sup": max(s.residual_sup for s in states),
         "holder_estimate": l_est,
     }
     path = _emit(

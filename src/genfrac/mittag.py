@@ -8,9 +8,9 @@ cancels down from a peak term of order exp(|z|^(1/a)), wiping out every
 digit long before overflow.  Arguments are therefore restricted to
 z <= min(30, 709**a) and -z <= min(30, 17**a) (peak term <= ~2e7, keeping
 absolute error near 1e-8); outside that the routine refuses rather than
-silently losing accuracy.  The derivative E'_beta grows faster than E_beta
-and overflows first (E'_1/2 near z = 26.55, inside 709**0.5 = 26.63), so
-it also refuses wherever its sum would not be finite.
+silently losing accuracy.  The 1/a of E_a ~ exp(z^(1/a)) / a and the faster
+growth of E'_beta (E'_1/2 overflows near z = 26.55, inside 709**0.5 = 26.63)
+still overflow there, so every sum also refuses where it would not be finite.
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-14
-#: log of the largest double: the derivative's domain ends where its sum reaches it
+#: log of the largest double: a sum ends its domain where it reaches it
 _LOG_MAX = math.log(np.finfo(float).max)
-_HARD_CAP = 20000
-#: term budget of :func:`mittag_leffler_tail` before it reports an infinite tail
-_TAIL_CAP = 100000
+#: log of the smallest positive double: a term below it adds nothing
+_LOG_MIN = math.log(np.finfo(float).smallest_subnormal)
+#: term budget of every series (64 * 4**5, the last size the array grows to)
+_CAP = 65536
 
 
 def series_domain_limit(alpha: float, negative: bool = False) -> float:
@@ -58,35 +59,59 @@ def _check_args(alpha: float, z: float, lo_open: bool = False) -> None:
         )
 
 
-def _series(alpha: float, z: float) -> float:
-    """sum_{k>=0} z^k / Gamma(a k + 1), summed until a term falls below
-    _REL_TOL of the running total while the terms fall."""
-    if z == 0.0:
-        return 1.0
-    log_az = math.log(abs(z))
-    sign_z = 1.0 if z > 0 else -1.0
-    terms = []
-    total = 0.0
-    prev_mag = math.inf
-    k = 0
-    while k < _HARD_CAP:
-        mag = math.exp(k * log_az - float(gammaln(alpha * k + 1.0)))
-        term = mag * (sign_z ** k)
-        terms.append(term)
-        total += term
-        if mag <= _REL_TOL * max(abs(total), 1e-300) and mag < prev_mag:
+def _log_terms(beta: float, x: float, done, order: int = 0) -> np.ndarray:
+    """log(k!/(k-order)! x^(k-order) / Gamma(beta k + 1)) for k = order..K:
+    the terms of the order-th derivative of E_beta at x > 0 (internal helper).
+
+    The array grows fourfold from 64 terms up to _CAP.  K is the first k at
+    which the caller's mask ``done(log_terms)`` holds while the terms fall.
+    Refuses with ``ValueError`` where the sum of the terms is not finite in
+    double precision, or does not reach its stopping point within _CAP terms.
+    """
+    log_x = math.log(x)
+    n = 64
+    while True:
+        k = np.arange(order, order + n, dtype=float)
+        log_terms = (k - order) * log_x
+        if order:
+            log_terms = np.log(k) + log_terms
+        log_terms = log_terms - gammaln(beta * k + 1.0)
+        with np.errstate(over="ignore"):
+            stop = done(log_terms) & (np.diff(log_terms, prepend=np.inf) < 0)
+        if stop.any() or n >= _CAP:
             break
-        prev_mag = mag
-        k += 1
-    else:  # pragma: no cover - unreachable inside the checked domain
-        raise ArithmeticError("Mittag-Leffler series failed to converge")
-    return math.fsum(terms)
+        n *= 4
+    name = ("E'" if order else "E") + f"_{beta:g}({x:g})"
+    if not stop.any():
+        raise ValueError(f"the series of {name} did not settle within {_CAP} terms")
+    log_terms = log_terms[: int(np.argmax(stop)) + 1]
+    log_sum = float(np.logaddexp.reduce(log_terms))
+    if not log_sum < _LOG_MAX:
+        raise ValueError(
+            f"{name} = exp({log_sum:.1f}) is not finite in double precision; the domain "
+            f"ends where the sum reaches exp({_LOG_MAX:.1f}); rescale or shorten the horizon"
+        )
+    return log_terms
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
-    """E_alpha(z) for 0 < alpha <= 1 inside the series-safe domain."""
+    """E_alpha(z) for 0 < alpha <= 1 inside the series-safe domain.
+
+    Summed until a term falls below _REL_TOL of the signed running sum while
+    the terms fall; refuses with ``ValueError`` where the sum is not finite.
+    """
     _check_args(alpha, z)
-    return _series(alpha, float(z))
+    if z == 0.0:
+        return 1.0
+
+    def terms(log_terms):
+        return math.copysign(1.0, z) ** np.arange(len(log_terms)) * np.exp(log_terms)
+
+    def done(log_terms):
+        t = terms(log_terms)
+        return np.abs(t) <= _REL_TOL * np.maximum(np.abs(np.cumsum(t)), 1e-300)
+
+    return math.fsum(terms(_log_terms(alpha, abs(float(z)), done)))
 
 
 def derivative_log_terms(beta: float, z: float) -> np.ndarray:
@@ -103,25 +128,9 @@ def derivative_log_terms(beta: float, z: float) -> np.ndarray:
     _check_args(beta, z, lo_open=True)
     if z == 0.0:
         return np.array([-float(gammaln(beta + 1.0))])
-    n = 64
-    while True:
-        k = np.arange(1.0, n + 1.0)
-        log_terms = np.log(k) + (k - 1.0) * math.log(z) - gammaln(beta * k + 1.0)
-        log_sum = np.logaddexp.accumulate(log_terms)
-        done = (log_terms <= math.log(_REL_TOL) + log_sum) & (np.diff(log_terms, prepend=np.inf) < 0)
-        if done.any():
-            break
-        if n >= _HARD_CAP:  # pragma: no cover - unreachable inside the checked domain
-            raise ArithmeticError("Mittag-Leffler derivative series failed to converge")
-        n *= 4
-    K = int(np.argmax(done)) + 1
-    if not log_sum[K - 1] < _LOG_MAX:
-        raise ValueError(
-            f"E'_{beta:g}({z:g}) = exp({log_sum[K - 1]:.1f}) is not finite in double precision; "
-            f"the derivative's domain for index {beta:g} is the z >= 0 with E'(z) < exp({_LOG_MAX:.1f}); "
-            "rescale or shorten the horizon"
-        )
-    return log_terms[:K]
+    return _log_terms(
+        beta, z, lambda lt: lt <= math.log(_REL_TOL) + np.logaddexp.accumulate(lt), order=1
+    )
 
 
 def mittag_leffler_derivative(beta: float, z: float) -> float:
@@ -129,21 +138,24 @@ def mittag_leffler_derivative(beta: float, z: float) -> float:
     return math.fsum(np.exp(derivative_log_terms(beta, float(z))))
 
 
-def mittag_leffler_tail(beta: float, x: float, k_from: int) -> float:
-    """sum_{k >= k_from} x^k / Gamma(beta k + 1) for x >= 0 (internal helper).
+def mittag_leffler_tails(beta: float, x: float, k_max: int) -> np.ndarray:
+    """sum_{j >= k} x^j / Gamma(beta j + 1) for k = 0..k_max, x >= 0
+    (internal helper).
 
-    The majorant behind every series-tail certificate.  Terms are formed in
-    log space and clamped at e^700; the sum stops once a term falls below
-    1e-16 of the running total and is ``inf`` when the term budget runs out
-    first, so a tail too large to certify never reads as finite.
+    The majorant behind every series-tail certificate.  The terms run until
+    they fall below the smallest double and are summed from the small end,
+    so each tail is accurate relative to itself.  Every tail is ``inf``
+    where the full sum refuses (not finite, or past the term budget), so a
+    tail too large to certify never reads as finite.
     """
+    tails = np.zeros(k_max + 1)
     if x == 0.0:
-        return 1.0 if k_from == 0 else 0.0
-    log_x = math.log(x)
-    total = 0.0
-    for k in range(k_from, k_from + _TAIL_CAP):
-        term = math.exp(min(k * log_x - math.lgamma(beta * k + 1.0), 700.0))
-        total += term
-        if term <= 1e-16 * max(total, 1e-300):
-            return total
-    return math.inf
+        tails[0] = 1.0
+        return tails
+    try:
+        log_terms = _log_terms(beta, x, lambda lt: lt < _LOG_MIN)
+    except ValueError:
+        tails[:] = math.inf
+        return tails
+    tails[: len(log_terms)] = np.cumsum(np.exp(log_terms[::-1]))[::-1][: k_max + 1]
+    return tails

@@ -26,7 +26,7 @@ from .errors import CancellationError, ConditioningWarning, TruncationError
 from .grids import Grid, GridFunction
 from .kernels import INTERIOR_FRAC, KernelTable, _caputo_values, _frac_integral_values
 from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert_grid
-from .mittag import mittag_leffler_tail
+from .mittag import mittag_leffler_tails
 
 __all__ = [
     "ConvolutionPowers",
@@ -83,10 +83,11 @@ def _require_finite(lam: float) -> None:
         raise ValueError(f"lam must be finite, got {lam}")
 
 
-def _majorant_tail(cp: ConvolutionPowers, lam_abs: float, t: float, k_from: int) -> float:
-    """sum_{k >= k_from} of the term bounds |lam|^k u_k(t) (k_from >= 1)."""
-    x = lam_abs * cp.c_env_u * math.gamma(cp.beta) * t ** cp.beta
-    return cp.c_env_U * cp.beta / cp.c_env_u * mittag_leffler_tail(cp.beta, x, k_from)
+def _majorant_tails(beta: float, c_u: float, c_U: float, lam: float, t: float, k_max: int):
+    """Bounds on sum_{k >= j} |lam|^k u_k(t) for j = 0..k_max (used for j >= 1)
+    from the envelopes u <= c_u t^(beta-1) and U <= c_U t^beta."""
+    x = abs(lam) * c_u * math.gamma(beta) * t ** beta
+    return c_U * beta / c_u * mittag_leffler_tails(beta, x, k_max)
 
 
 def suggest_power_count(kt: KernelTable, lam: float) -> int:
@@ -100,21 +101,14 @@ def suggest_power_count(kt: KernelTable, lam: float) -> int:
     route anyway).
     """
     _require_finite(lam)
-    probe = ConvolutionPowers(
-        grid=kt.grid,
-        u_star=np.empty((1, 1)),
-        beta=kt.beta,
-        c_env_u=kt.c_fit,
-        c_env_U=kt.c_env_U,
-    )
-    lam_abs = abs(lam)
     t = kt.grid.horizon
-    if lam_abs == 0.0:
+    if lam == 0.0:
         return 1
     target = SERIES_TOL * (0.01 if lam < 0 else 1.0)
-    for k in range(1, 2048):
-        if _majorant_tail(probe, lam_abs, t, k + 1) <= target:
-            return max(k + 2, 4)
+    tails = _majorant_tails(kt.beta, kt.c_fit, kt.c_env_U, lam, t, 2048)
+    met = tails[2:] <= target
+    if met.any():
+        return max(int(np.argmax(met)) + 3, 4)
     raise TruncationError(
         f"no certified truncation below 2048 powers for lam={lam}, T={t}"
     )
@@ -130,30 +124,33 @@ def _check_cancellation(gross: float, total: float, lam: float, where: str) -> N
         )
 
 
+def _term_matrix(cp: ConvolutionPowers, lam: float, K: int, nodes=slice(None)) -> np.ndarray:
+    """lam^k u_k(t_i) for k = 0..K (rows) at the grid nodes ``nodes`` (columns):
+    products while |lam|^K < e^690, else formed in log space."""
+    k = np.arange(K + 1)[:, None]
+    u = cp.u_star[: K + 1, nodes]
+    if abs(lam) <= 1.0 or K * math.log(abs(lam)) < 690.0:
+        return float(lam) ** k * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mat = math.copysign(1.0, lam) ** k * np.exp(k * math.log(abs(lam)) + np.log(u))
+    mat[np.isnan(mat)] = 0.0
+    return mat
+
+
 def _series_terms(cp: ConvolutionPowers, lam: float, t_index: int):
-    """Terms lam^k u_k(t_i) up to a certified truncation point."""
-    i = t_index
-    t = cp.grid.nodes[i]
-    terms = [1.0]
-    running = 1.0
+    """Terms lam^k u_k(t_i), k = 0..K, for the first K >= 1 whose certified
+    tail meets SERIES_TOL relative to the running sum."""
     if lam == 0.0:
-        return terms, 0.0
-    lam_abs = abs(lam)
-    sign = 1.0 if lam > 0 else -1.0
-    log_lam = math.log(lam_abs)
-    gross = 1.0
-    for k in range(1, cp.k_max + 1):
-        uk = cp.u_star[k, i]
-        term = 0.0 if uk <= 0.0 else sign ** k * math.exp(k * log_lam + math.log(uk))
-        terms.append(term)
-        running += term
-        gross += abs(term)
-        tail = _majorant_tail(cp, lam_abs, t, k + 1)
-        if tail <= SERIES_TOL * max(abs(running), 1e-300):
-            return terms, tail
+        return np.ones(1)
+    t = cp.grid.nodes[t_index]
+    tails = _majorant_tails(cp.beta, cp.c_env_u, cp.c_env_U, lam, t, cp.k_max + 1)
+    terms = _term_matrix(cp, lam, cp.k_max, slice(t_index, t_index + 1))[:, 0]
+    met = tails[2:] <= SERIES_TOL * np.maximum(np.abs(np.cumsum(terms)[1:]), 1e-300)
+    if met.any():
+        return terms[: int(np.argmax(met)) + 2]
     if lam < 0:
-        _check_cancellation(gross, running, lam, "")
-    tail = _majorant_tail(cp, lam_abs, t, cp.k_max + 1)
+        _check_cancellation(math.fsum(np.abs(terms)), math.fsum(terms), lam, "")
+    tail = float(tails[-1])
     raise TruncationError(
         f"series not certified within k_max={cp.k_max} at t={t:g}, lam={lam:g}; "
         f"estimated tail {tail:.3e}",
@@ -172,10 +169,10 @@ def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
     if not 0 <= t_index <= cp.grid.cells:
         raise ValueError(f"t_index out of range 0..{cp.grid.cells}")
     _require_finite(lam)
-    terms, _tail = _series_terms(cp, lam, t_index)
+    terms = _series_terms(cp, lam, t_index)
     total = math.fsum(terms)
     if lam < 0:
-        _check_cancellation(math.fsum(abs(x) for x in terms), total, lam, "")
+        _check_cancellation(math.fsum(np.abs(terms)), total, lam, "")
     return total
 
 
@@ -185,21 +182,8 @@ def phi_exp_series_curve(cp: ConvolutionPowers, lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.ones(cp.grid.cells + 1)
     # find the node-T truncation once; reuse for the whole curve
-    terms_T, _ = _series_terms(cp, lam, cp.grid.cells)
-    K = len(terms_T) - 1
-    direct = abs(lam) <= 1.0 or K * math.log(abs(lam)) < 690.0
-    powers = lam ** np.arange(K + 1) if direct else None
-    if powers is not None and np.all(np.isfinite(powers)):
-        mat = powers[:, None] * cp.u_star[: K + 1]
-    else:  # form terms in log space column by column
-        mat = np.zeros((K + 1, cp.grid.cells + 1))
-        sign = 1.0 if lam > 0 else -1.0
-        loglam = math.log(abs(lam))
-        with np.errstate(divide="ignore"):
-            logu = np.log(cp.u_star[: K + 1])
-        for k in range(K + 1):
-            mat[k] = sign ** k * np.exp(k * loglam + logu[k])
-        mat[np.isnan(mat)] = 0.0
+    K = len(_series_terms(cp, lam, cp.grid.cells)) - 1
+    mat = _term_matrix(cp, lam, K)
     if lam > 0:
         return mat.sum(axis=0)
     out = np.empty(cp.grid.cells + 1)

@@ -116,6 +116,24 @@ class TestSolve:
         # no silent defaults: the resolved configuration is in the report
         assert report["config"]["tol"] == 1e-10
 
+    def test_residual_is_worst_over_segments(self, tmp_path):
+        path = tmp_path / "logistic.kv"
+        path.write_text("d = 1\nf0 = 0.4\nT = 1.0\nR = 0.5\nrhs = logistic\nrate = 1.0\n")
+        out = tmp_path / "s3"
+        assert run(
+            ["solve", "--phi", "stable:0.5", "--problem", str(path), "--N", "128",
+             "--out", str(out)]
+        ) == 0
+        report = json.loads((out / "solve_report.json").read_text())
+        problem, radius, _ = genfrac.load_problem_file(path)
+        kt = genfrac.build_kernel_table(genfrac.BernsteinFunction.stable(0.5), genfrac.Grid(1.0, 128))
+        _, states = genfrac.solve_to_horizon(problem, kt, radius, tol=1e-10, max_iter=200)
+        residuals = [s.residual_sup for s in states]
+        assert report["segments"] == len(states) > 1
+        # the first segment is not the worst one here, so this pins the maximum
+        assert residuals[0] < max(residuals)
+        assert report["residual_sup"] == max(residuals)
+
     def test_missing_problem_file_is_usage_error(self, tmp_path):
         assert run(
             ["solve", "--phi", "stable:0.5", "--problem", str(tmp_path / "nope.kv"),

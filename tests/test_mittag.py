@@ -3,10 +3,10 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfc, erfcx
+from scipy.special import erfc, erfcx, gammainc
 
 from genfrac import mittag_leffler, mittag_leffler_derivative, series_domain_limit
-from genfrac.mittag import mittag_leffler_tail
+from genfrac.mittag import mittag_leffler_tails
 
 from conftest import ML_ORACLE, ML_PRIME_HALF_AT_2
 
@@ -102,8 +102,23 @@ def test_derivative_refuses_where_not_finite():
         mittag_leffler_derivative(0.2, 0.999 * series_domain_limit(0.2))
 
 
+@pytest.mark.parametrize("alpha", [0.2, 0.3])
+def test_value_refuses_where_not_finite(alpha):
+    # z^(1/alpha) = 709 at the limit, and the 1/alpha prefactor of
+    # E_alpha ~ exp(z^(1/alpha)) / alpha carries the sum past the largest double
+    with pytest.raises(ValueError, match="not finite"):
+        mittag_leffler(alpha, series_domain_limit(alpha))
+
+
+def test_value_finite_at_half_limit():
+    # terms near exp(709) are formed from log values near 4600, whose last
+    # bits put relative errors of order 1e-12 on each term
+    z = series_domain_limit(0.5)
+    assert mittag_leffler(0.5, z) == pytest.approx(float(erfcx(-z)), rel=1e-11)
+
+
 class TestTail:
-    """mittag_leffler_tail against closed forms that share none of its code."""
+    """mittag_leffler_tails against closed forms that share none of its code."""
 
     CLOSED = {
         1.0: lambda x: math.exp(x),
@@ -113,7 +128,7 @@ class TestTail:
     @pytest.mark.parametrize("beta", sorted(CLOSED))
     @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
     def test_full_sum_is_closed_form(self, beta, x):
-        assert mittag_leffler_tail(beta, x, 0) == pytest.approx(self.CLOSED[beta](x), rel=1e-13)
+        assert mittag_leffler_tails(beta, x, 0)[0] == pytest.approx(self.CLOSED[beta](x), rel=1e-13)
 
     @pytest.mark.parametrize("beta", sorted(CLOSED))
     @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
@@ -121,13 +136,31 @@ class TestTail:
     def test_tail_drops_leading_terms(self, beta, x, k):
         full = self.CLOSED[beta](x)
         head = math.fsum(x ** j / math.gamma(beta * j + 1.0) for j in range(k))
-        assert mittag_leffler_tail(beta, x, k) == pytest.approx(full - head, abs=1e-13 * full)
+        assert mittag_leffler_tails(beta, x, k)[k] == pytest.approx(full - head, abs=1e-13 * full)
 
     def test_zero_argument(self):
-        assert mittag_leffler_tail(0.5, 0.0, 0) == 1.0
-        assert mittag_leffler_tail(0.5, 0.0, 3) == 0.0
+        assert mittag_leffler_tails(0.5, 0.0, 0)[0] == 1.0
+        assert mittag_leffler_tails(0.5, 0.0, 3)[3] == 0.0
 
     def test_infinite_at_term_cap(self):
         # the terms of x = 400, beta = 1/2 peak near k = 2 x^2, past the term
         # budget, so no finite partial sum may stand in for the tail
-        assert mittag_leffler_tail(0.5, 400.0, 1) == math.inf
+        assert mittag_leffler_tails(0.5, 400.0, 1)[1] == math.inf
+
+    # sum_{j >= k} x^j / Gamma(beta j + 1) through the regularized lower gamma
+    # function P: e^x P(k, x) for beta = 1; with y = x^2, e^y [P(ceil(k/2), y)
+    # + P(floor(k/2) + 1/2, y)] for beta = 1/2
+    TAILS = {
+        1.0: lambda x, k: math.exp(x) * gammainc(k, x),
+        0.5: lambda x, k: math.exp(x * x) * (gammainc(-(-k // 2), x * x) + gammainc(k // 2 + 0.5, x * x)),
+    }
+
+    @pytest.mark.parametrize("beta", sorted(TAILS))
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5, 6.0])
+    def test_every_tail_is_accurate_relative_to_itself(self, beta, x):
+        tails = mittag_leffler_tails(beta, x, 2000)
+        k = 0
+        while tails[k] >= 1e-250:
+            assert tails[k] == pytest.approx(self.TAILS[beta](x, k), rel=1e-12), k
+            k += 1
+        assert k > 10

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +153,29 @@ class TestSeriesRoute:
         large = suggest_power_count(kt_stable_512, 3.0)
         assert small < large <= 200
 
+    def test_uncertifiable_lambda_refused_quickly(self, stable_half):
+        from genfrac import Grid, build_kernel_table
+
+        kt = build_kernel_table(stable_half, Grid(1.0, 256))
+        start = time.perf_counter()
+        with pytest.raises(TruncationError):
+            suggest_power_count(kt, 40.0)
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize(
+        "label, lam, k",
+        [
+            ("stable:0.5", -1.0, 32),
+            ("stable:0.5", 1.0, 28),
+            ("tempered:0.5,1", -1.0, 113),
+            ("tempered:0.5,1", 1.0, 107),
+            ("mixture:0.3@0.4+0.7@0.8", -1.0, 24),
+            ("mixture:0.3@0.4+0.7@0.8", 1.0, 21),
+        ],
+    )
+    def test_truncation_pinned_at_fine_grid(self, fine_tables, label, lam, k):
+        assert suggest_power_count(fine_tables[label], lam) == k
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lambda_rejected(self, stable_half, kt_stable_512, cp_stable_512, lam):
         # refused before any tail sum spends its term budget (nan stalled the
@@ -197,6 +221,13 @@ class TestLaplaceRoute:
         series = phi_exp_series(cp, -1.0, 512)
         laplace = phi_exp_laplace(kt_tempered_512.phi, -1.0, 1.0)
         assert abs(series - laplace) <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def fine_tables(catalog_phis):
+    from genfrac import Grid, build_kernel_table
+
+    return {phi.label: build_kernel_table(phi, Grid(1.0, 16384)) for phi in catalog_phis}
 
 
 @pytest.fixture(scope="module")

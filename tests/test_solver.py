@@ -309,10 +309,11 @@ class TestNeumann:
         with pytest.raises(NonconvergenceError):
             neumann_affine_solve(kt, [[30.0]], [0.0], [1.0])
 
-    def test_system_agrees_with_picard(self, stable_half):
+    @pytest.mark.parametrize("phi", ["stable_half", "tempered_half"])
+    def test_system_agrees_with_picard(self, request, phi):
         from genfrac import Grid, build_kernel_table, rhs_affine
 
-        kt = build_kernel_table(stable_half, Grid(1.0, 1024))
+        kt = build_kernel_table(request.getfixturevalue(phi), Grid(1.0, 1024))
         M = [[-0.8, 0.6], [-0.3, 0.4]]
         xi, f0 = [0.2, -0.1], [1.0, 0.5]
         problem = make_problem(rhs_affine(M, xi), f0, 1.0)
