@@ -397,16 +397,19 @@ def load_phi_config(path) -> BernsteinFunction:
     kind = kv.pop("kind", None)
     if kind is None:
         raise ValueError("config must declare kind=")
-    if kind == "stable":
-        phi = BernsteinFunction.stable(float(kv.pop("alpha")))
-    elif kind == "tempered":
-        phi = BernsteinFunction.tempered(float(kv.pop("alpha")), float(kv.pop("theta")))
-    elif kind == "mixture":
-        weights = [float(x) for x in kv.pop("weights").split(",")]
-        alphas = [float(x) for x in kv.pop("alphas").split(",")]
-        phi = BernsteinFunction.mixture(weights, alphas)
-    else:
-        raise ValueError(f"unknown kind {kind!r} in config")
+    try:
+        if kind == "stable":
+            phi = BernsteinFunction.stable(float(kv.pop("alpha")))
+        elif kind == "tempered":
+            phi = BernsteinFunction.tempered(float(kv.pop("alpha")), float(kv.pop("theta")))
+        elif kind == "mixture":
+            weights = [float(x) for x in kv.pop("weights").split(",")]
+            alphas = [float(x) for x in kv.pop("alphas").split(",")]
+            phi = BernsteinFunction.mixture(weights, alphas)
+        else:
+            raise ValueError(f"unknown kind {kind!r} in config")
+    except KeyError as exc:
+        raise ValueError(f"config of kind {kind!r} missing required key: {exc}") from exc
 
     overrides = {}
     for key in ("beta", "c_assump", "t0"):

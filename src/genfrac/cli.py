@@ -35,11 +35,11 @@ from .kernels import build_kernel_table, kernel_table_to_csv
 from .laplace import parse_ilt_spec
 from .mc import (
     McConfig,
+    _exp_samples,
     estimate_moments,
     estimate_phi_exp_mc,
     estimate_potential_mc,
     laplace_exponent_check,
-    sample_inverse_values,
 )
 from .phiexp import (
     convolution_powers,
@@ -179,8 +179,7 @@ def cmd_eigen(args) -> int:
             idx = np.append(idx, grid.cells)
         vals = np.full(grid.cells + 1, np.nan)
         vals[0] = 1.0
-        L = sample_inverse_values(mc_cfg, grid.nodes[idx[1:]])
-        vals[idx[1:]] = np.exp(lam * L).mean(axis=0)
+        vals[idx[1:]] = _exp_samples(mc_cfg, lam, grid.nodes[idx[1:]]).mean(axis=0)
         columns["mc"] = vals
 
     names = list(columns)

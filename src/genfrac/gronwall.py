@@ -224,13 +224,10 @@ class InstanceReport:
 def check_instance(
     inst: GronwallInstance,
     kt: KernelTable,
-    cp: Optional[ConvolutionPowers] = None,
+    cp: ConvolutionPowers,
 ) -> InstanceReport:
     """Verify x <= series <= envelope (and the monotone form when
-    applicable) within 1e-8 plus twice the quadrature-error estimate.
-
-    ``cp`` feeds the monotone form only; without it that check is skipped.
-    """
+    applicable) within 1e-8 plus twice the quadrature-error estimate."""
     inst.require_valid()
     if inst.grid != kt.grid:
         raise ValueError("instance grid does not match the kernel table")
@@ -251,7 +248,7 @@ def check_instance(
     ok_order = bool(np.all(margin_order >= -slack))
 
     monotone = margin_mono = ok_mono = None
-    if inst.a_nondecreasing and cp is not None:
+    if inst.a_nondecreasing:
         monotone = monotone_bound(cp, inst.g, inst.a).scalar()
         margin_mono = monotone - xv
         ok_mono = bool(np.all(margin_mono >= -slack))
@@ -392,7 +389,7 @@ def continuity_experiment_initial(
     m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     L = float(problem.lip_l(r_tilde))
     base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-    factor = phi_exp(kt.phi, cp, L, m) if kt.phi is not None else phi_exp_series_curve(cp, L)[m]
+    factor = phi_exp(kt.phi, cp, L, m)
 
     rows = []
     all_ok = True

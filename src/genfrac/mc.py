@@ -185,6 +185,22 @@ def _mean_se(values: np.ndarray) -> McEstimate:
     return McEstimate(value=mean, std_error=sd / math.sqrt(n), n_effective=n)
 
 
+def _exp_samples(cfg: McConfig, lam: float, t_targets: Sequence[float]) -> np.ndarray:
+    """exp(lam * L(t)), one row per path and one column per target.  A
+    non-finite lam raises ``ValueError`` before any path is drawn; an
+    overflow raises :class:`NumericalError`."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    L = sample_inverse_values(cfg, t_targets)
+    with np.errstate(over="ignore"):  # reported below
+        vals = np.exp(lam * L)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(
+            f"exp(lam*L) overflowed (lam={lam}); horizon too long for this sampler"
+        )
+    return vals
+
+
 def estimate_phi_exp_mc(cfg: McConfig, lam: float, t: float) -> McEstimate:
     """Sample mean of exp(lam * L(t)) with its standard error.
 
@@ -192,15 +208,7 @@ def estimate_phi_exp_mc(cfg: McConfig, lam: float, t: float) -> McEstimate:
     1% of the samples carries more than half of the estimate.  A lam so
     large that exp(lam * L) overflows raises :class:`NumericalError`.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    L = sample_inverse_values(cfg, [t])[:, 0]
-    with np.errstate(over="ignore"):  # reported below
-        vals = np.exp(lam * L)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(
-            f"exp(lam*L) overflowed (lam={lam}); horizon too long for this sampler"
-        )
+    vals = _exp_samples(cfg, lam, [t])[:, 0]
     if lam > 0:
         k = max(1, vals.shape[0] // 100)
         top = float(np.sort(vals)[-k:].sum())

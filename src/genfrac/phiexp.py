@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -114,48 +115,61 @@ def suggest_power_count(kt: KernelTable, lam: float) -> int:
     )
 
 
-def _check_cancellation(gross: float, total: float, lam: float, where: str) -> None:
-    """Refuse an alternating sum whose sum|term| exceeds CANCELLATION_LIMIT * |sum|."""
-    scale = max(abs(total), 1e-300)
-    if gross > CANCELLATION_LIMIT * scale:
-        raise CancellationError(
-            f"alternating series amplification {gross / scale:.2e} exceeds "
-            f"{CANCELLATION_LIMIT:.0e} at lam={lam}{where}; use the Laplace route"
-        )
-
-
-def _term_matrix(cp: ConvolutionPowers, lam: float, K: int, nodes=slice(None)) -> np.ndarray:
-    """lam^k u_k(t_i) for k = 0..K (rows) at the grid nodes ``nodes`` (columns):
+def _terms(cp: ConvolutionPowers, lam: float, K: int, k, nodes) -> np.ndarray:
+    """lam^k u_k(t_i) for the power(s) ``k`` at the grid nodes ``nodes``:
     products while |lam|^K < e^690, else formed in log space."""
-    k = np.arange(K + 1)[:, None]
-    u = cp.u_star[: K + 1, nodes]
+    u = cp.u_star[k, nodes]
     if abs(lam) <= 1.0 or K * math.log(abs(lam)) < 690.0:
         return float(lam) ** k * u
     with np.errstate(divide="ignore", invalid="ignore"):
-        mat = math.copysign(1.0, lam) ** k * np.exp(k * math.log(abs(lam)) + np.log(u))
-    mat[np.isnan(mat)] = 0.0
-    return mat
+        terms = math.copysign(1.0, lam) ** k * np.exp(k * math.log(abs(lam)) + np.log(u))
+    return np.where(np.isnan(terms), 0.0, terms)
 
 
-def _series_terms(cp: ConvolutionPowers, lam: float, t_index: int):
-    """Terms lam^k u_k(t_i), k = 0..K, for the first K >= 1 whose certified
-    tail meets SERIES_TOL relative to the running sum."""
+def _series(cp: ConvolutionPowers, lam: float, start: int, stop: int) -> np.ndarray:
+    """Series values at grid nodes start..stop-1, truncated at the first K >= 1
+    whose certified tail at node stop-1 meets SERIES_TOL relative to the
+    running sum there.
+
+    Sums run row by row over k, with no term matrix; ``comp`` gathers the
+    exact rounding error of each addition (TwoSum), i.e. Neumaier summation,
+    so the values agree with ``math.fsum`` to an ulp.  The first node with
+    sum|term| > CANCELLATION_LIMIT * |sum| raises CancellationError; without
+    a certified K, that check runs over all stored powers at node stop-1 first.
+    """
+    _require_finite(lam)
     if lam == 0.0:
-        return np.ones(1)
-    t = cp.grid.nodes[t_index]
+        return np.ones(stop - start)
+    t = cp.grid.nodes[stop - 1]
     tails = _majorant_tails(cp.beta, cp.c_env_u, cp.c_env_U, lam, t, cp.k_max + 1)
-    terms = _term_matrix(cp, lam, cp.k_max, slice(t_index, t_index + 1))[:, 0]
-    met = tails[2:] <= SERIES_TOL * np.maximum(np.abs(np.cumsum(terms)[1:]), 1e-300)
-    if met.any():
-        return terms[: int(np.argmax(met)) + 2]
-    if lam < 0:
-        _check_cancellation(math.fsum(np.abs(terms)), math.fsum(terms), lam, "")
-    tail = float(tails[-1])
-    raise TruncationError(
-        f"series not certified within k_max={cp.k_max} at t={t:g}, lam={lam:g}; "
-        f"estimated tail {tail:.3e}",
-        tail_estimate=tail,
-    )
+    last = _terms(cp, lam, cp.k_max, np.arange(cp.k_max + 1), stop - 1)
+    met = tails[2:] <= SERIES_TOL * np.maximum(np.abs(np.cumsum(last)[1:]), 1e-300)
+    K = int(np.argmax(met)) + 1 if met.any() else cp.k_max
+    if not met.any():
+        start = stop - 1
+    total, comp, gross = np.zeros((3, stop - start))
+    for k in range(K + 1):
+        row = _terms(cp, lam, K, k, slice(start, stop))
+        new = total + row
+        back = new - total
+        comp += (total - (new - back)) + (row - back)
+        total = new
+        gross += np.abs(row)
+    total += comp
+    amp = gross / np.maximum(np.abs(total), 1e-300)
+    bad = np.flatnonzero(amp > CANCELLATION_LIMIT)
+    if bad.size:
+        raise CancellationError(
+            f"alternating series amplification {amp[bad[0]]:.2e} exceeds {CANCELLATION_LIMIT:.0e} "
+            f"at lam={lam} (node {start + bad[0]}); use the Laplace route"
+        )
+    if not met.any():
+        raise TruncationError(
+            f"series not certified within k_max={cp.k_max} at t={t:g}, lam={lam:g}; "
+            f"estimated tail {tails[-1]:.3e}",
+            tail_estimate=float(tails[-1]),
+        )
+    return total
 
 
 def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
@@ -168,31 +182,12 @@ def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
     """
     if not 0 <= t_index <= cp.grid.cells:
         raise ValueError(f"t_index out of range 0..{cp.grid.cells}")
-    _require_finite(lam)
-    terms = _series_terms(cp, lam, t_index)
-    total = math.fsum(terms)
-    if lam < 0:
-        _check_cancellation(math.fsum(np.abs(terms)), total, lam, "")
-    return total
+    return float(_series(cp, lam, t_index, t_index + 1)[0])
 
 
 def phi_exp_series_curve(cp: ConvolutionPowers, lam: float) -> np.ndarray:
     """Series values at every grid node (certified at the worst node t=T)."""
-    _require_finite(lam)
-    if lam == 0.0:
-        return np.ones(cp.grid.cells + 1)
-    # find the node-T truncation once; reuse for the whole curve
-    K = len(_series_terms(cp, lam, cp.grid.cells)) - 1
-    mat = _term_matrix(cp, lam, K)
-    if lam > 0:
-        return mat.sum(axis=0)
-    out = np.empty(cp.grid.cells + 1)
-    for i in range(cp.grid.cells + 1):
-        col = mat[:, i]
-        total = math.fsum(col.tolist())
-        _check_cancellation(float(np.abs(col).sum()), total, lam, f" (node {i})")
-        out[i] = total
-    return out
+    return _series(cp, lam, 0, cp.grid.cells + 1)
 
 
 def _eigen_transform(phi: BernsteinFunction, lam: float, guard: float):
@@ -244,17 +239,20 @@ def phi_exp_laplace_curve(
     return invert_grid(transform, ts, replace(cfg, abscissa_shift=shift))
 
 
-def phi_exp(phi: BernsteinFunction, cp: ConvolutionPowers, lam: float, t_index: int) -> float:
+def phi_exp(
+    phi: Optional[BernsteinFunction], cp: ConvolutionPowers, lam: float, t_index: int
+) -> float:
     """Series evaluation with automatic fallback to the Laplace route, under
     the default Gaver-Stehfest order 16, when the series refuses
-    (cancellation or uncertified tail)."""
+    (cancellation or uncertified tail).  Without a ``phi`` (a kernel table
+    read from CSV has none) the refusal propagates."""
     try:
         return phi_exp_series(cp, lam, t_index)
     except (CancellationError, TruncationError):
-        t = float(cp.grid.nodes[t_index])
-        if t == 0.0:
-            return 1.0
-        return phi_exp_laplace(phi, lam, t)
+        if phi is None:
+            raise
+        # node 0 never gets here: its certificate holds at K = 1 with sum 1
+        return phi_exp_laplace(phi, lam, float(cp.grid.nodes[t_index]))
 
 
 def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:

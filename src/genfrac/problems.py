@@ -180,27 +180,26 @@ def load_problem_file(path):
         horizon = float(kv.pop("t"))
         radius = float(kv.pop("r"))
         kind = kv.pop("rhs").lower()
+        if kind == "zero":
+            spec = rhs_zero(dim)
+        elif kind == "constant":
+            spec = rhs_constant(_floats(kv.pop("xi")))
+        elif kind == "linear":
+            m = np.asarray(_floats(kv.pop("matrix"))).reshape(dim, dim)
+            spec = rhs_linear(m)
+        elif kind == "affine":
+            m = np.asarray(_floats(kv.pop("matrix"))).reshape(dim, dim)
+            spec = rhs_affine(m, _floats(kv.pop("xi")))
+        elif kind == "logistic":
+            spec = rhs_logistic(float(kv.pop("rate")))
+        elif kind == "power":
+            spec = rhs_power(float(kv.pop("coef")), float(kv.pop("exponent")))
+        elif kind == "table":
+            spec = rhs_table(_floats(kv.pop("table_t")), _floats(kv.pop("table_v")))
+        else:
+            raise ValueError(f"unknown rhs kind {kind!r}")
     except KeyError as exc:
         raise ValueError(f"problem file missing required key: {exc}") from exc
-
-    if kind == "zero":
-        spec = rhs_zero(dim)
-    elif kind == "constant":
-        spec = rhs_constant(_floats(kv.pop("xi")))
-    elif kind == "linear":
-        m = np.asarray(_floats(kv.pop("matrix"))).reshape(dim, dim)
-        spec = rhs_linear(m)
-    elif kind == "affine":
-        m = np.asarray(_floats(kv.pop("matrix"))).reshape(dim, dim)
-        spec = rhs_affine(m, _floats(kv.pop("xi")))
-    elif kind == "logistic":
-        spec = rhs_logistic(float(kv.pop("rate")))
-    elif kind == "power":
-        spec = rhs_power(float(kv.pop("coef")), float(kv.pop("exponent")))
-    elif kind == "table":
-        spec = rhs_table(_floats(kv.pop("table_t")), _floats(kv.pop("table_v")))
-    else:
-        raise ValueError(f"unknown rhs kind {kind!r}")
     if kv:
         raise ValueError(f"unrecognized problem keys: {sorted(kv)}")
     if spec.dim != dim:

@@ -76,6 +76,22 @@ class TestEigen:
         ) == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_mc_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # the same check as `genfrac mc --estimate phiexp:...`; an unchecked
+        # overflow wrote inf into the mc column and exited 0
+        assert run(
+            ["eigen", "--phi", "stable:0.5", "--lambda", "400", "--N", "64",
+             "--method", "mc", "--paths", "200", "--dt", "2e-3", "--out", str(tmp_path)]
+        ) == 1
+        assert "numerical failure: exp(lam*L) overflowed" in capsys.readouterr().err
+
+    def test_mc_non_finite_lambda_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            ["eigen", "--phi", "stable:0.5", "--lambda", "nan", "--N", "64",
+             "--method", "mc", "--paths", "100", "--dt", "1e-2", "--out", str(tmp_path)]
+        ) == 2
+        assert "usage error: lam must be finite" in capsys.readouterr().err
+
     def test_single_method(self, tmp_path):
         out = tmp_path / "e1"
         assert run(
@@ -133,6 +149,16 @@ class TestSolve:
         # the first segment is not the worst one here, so this pins the maximum
         assert residuals[0] < max(residuals)
         assert report["residual_sup"] == max(residuals)
+
+    def test_missing_rhs_key_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "const.kv"
+        path.write_text("d = 1\nf0 = 0.7\nT = 1.0\nR = 1.0\nrhs = constant\n")
+        assert run(
+            ["solve", "--phi", "stable:0.5", "--problem", str(path), "--N", "64",
+             "--out", str(tmp_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "missing required key: 'xi'" in err
 
     def test_missing_problem_file_is_usage_error(self, tmp_path):
         assert run(
@@ -261,6 +287,23 @@ class TestPhiSources:
         ) == 0
         report = json.loads((out / "kernels_report.json").read_text())
         assert report["beta"] == 0.5
+
+    @pytest.mark.parametrize(
+        "text, missing",
+        [
+            ("kind = stable\n", "alpha"),
+            ("kind = tempered\nalpha = 0.5\n", "theta"),
+            ("kind = mixture\nweights = 0.4,0.8\n", "alphas"),
+        ],
+    )
+    def test_config_missing_key_is_usage_error(self, tmp_path, capsys, text, missing):
+        cfg = tmp_path / "phi.cfg"
+        cfg.write_text(text)
+        assert run(
+            ["kernels", "--phi", f"config:{cfg}", "--N", "32", "--out", str(tmp_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"missing required key: '{missing}'" in err
 
     def test_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENFRAC_OUT", str(tmp_path / "envout"))

@@ -394,6 +394,15 @@ class TestContinuity:
         ratios = [row["ratio"] for row in rep.rows]
         assert max(ratios) / min(ratios) <= 1.2
 
+    def test_initial_without_phi(self, kt_stable_512, cp_stable_512):
+        # a table read from CSV has no phi: the factor is the series value alone
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        args = (cp_stable_512, 1.0, [0.01, 0.02])
+        rep = continuity_experiment_initial(problem, kt_stable_512, *args)
+        bare = continuity_experiment_initial(problem, replace(kt_stable_512, phi=None), *args)
+        assert bare.bound_factor == rep.bound_factor
+        assert bare.rows == rep.rows
+
     def test_initial_rejects_large_delta(self, kt_stable_512, cp_stable_512):
         problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from genfrac import (
     eigen_residual,
     mittag_leffler,
     parse_ilt_spec,
+    parse_phi_spec,
     phi_exp,
     phi_exp_laplace,
     phi_exp_laplace_curve,
@@ -21,6 +22,9 @@ from genfrac import (
     phi_exp_series_curve,
     suggest_power_count,
 )
+
+from genfrac.mittag import mittag_leffler_tails
+from genfrac.phiexp import CANCELLATION_LIMIT, SERIES_TOL
 
 from conftest import ML_ORACLE
 
@@ -95,6 +99,47 @@ class TestConvolutionPowers:
             convolution_powers(kt_stable_512, 0)
 
 
+def _reference_terms(cp, lam, K, i):
+    """lam^k u_k(t_i), k = 0..K, one Python float at a time: products while
+    |lam|^K < e^690, else exp(k log|lam| + log u)."""
+    log_space = abs(lam) > 1.0 and K * math.log(abs(lam)) >= 690.0
+    terms = []
+    for k in range(K + 1):
+        u = float(cp.u_star[k, i])
+        if not log_space:
+            terms.append(lam ** k * u)
+        elif u > 0.0:
+            sign = math.copysign(1.0, lam) ** k
+            terms.append(sign * math.exp(k * math.log(abs(lam)) + math.log(u)))
+        else:
+            terms.append(0.0)
+    return terms
+
+
+def _certified_k(cp, lam, i):
+    """First K >= 1 whose majorant tail at node i meets SERIES_TOL against
+    the running sum of the terms there, or None."""
+    beta = cp.beta
+    x = abs(lam) * cp.c_env_u * math.gamma(beta) * cp.grid.nodes[i] ** beta
+    tails = cp.c_env_U * beta / cp.c_env_u * mittag_leffler_tails(beta, x, cp.k_max + 1)
+    running = 0.0
+    for K, term in enumerate(_reference_terms(cp, lam, cp.k_max, i)):
+        running += term
+        if K >= 1 and tails[K + 1] <= SERIES_TOL * max(abs(running), 1e-300):
+            return K
+    return None
+
+
+def _series_per_node(cp, lam, i, K):
+    """Reference series value at node i with truncation K: math.fsum of the
+    terms, or None where sum|term| > CANCELLATION_LIMIT * |sum|."""
+    terms = _reference_terms(cp, lam, K, i)
+    total = math.fsum(terms)
+    if math.fsum(map(abs, terms)) > CANCELLATION_LIMIT * max(abs(total), 1e-300):
+        return None
+    return total
+
+
 class TestSeriesRoute:
     def test_zero_eigenvalue_exact(self, cp_stable_512):
         assert phi_exp_series(cp_stable_512, 0.0, 256) == 1.0
@@ -142,10 +187,53 @@ class TestSeriesRoute:
         with pytest.raises(CancellationError):
             phi_exp_series(cp, -6.0, 512)
 
+    def test_phi_exp_without_phi_refuses(self, kt_stable_512):
+        # a table read from CSV has no phi, so there is no Laplace fallback
+        cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
+        assert phi_exp(None, cp, -6.0, 0) == 1.0
+        assert phi_exp(None, cp, -6.0, 64) == phi_exp_series(cp, -6.0, 64)
+        with pytest.raises(CancellationError, match="node 512"):
+            phi_exp(None, cp, -6.0, 512)
+
     def test_curve_cancellation_refusal(self, kt_stable_512):
         cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
         with pytest.raises(CancellationError, match=r"node \d+"):
             phi_exp_series_curve(cp, -6.0)
+
+    @pytest.mark.parametrize(
+        "spec, lam",
+        [
+            (spec, lam)
+            for spec in ("stable:0.5", "tempered:0.5,1.0", "mixture:0.3@0.4+0.7@0.8")
+            for lam in (-3.0, -1.0, 0.7, 2.0)
+        ]
+        + [("stable:0.3", 4.0)],
+    )
+    def test_matches_per_node_fsum_reference(self, spec, lam):
+        """Point and curve against math.fsum node by node: 1e-15 relative
+        where the terms are products, 1e-12 where they are formed in log
+        space (exp and log may differ by an ulp between numpy and math).
+        A refusing curve names the first node whose sum the reference refuses."""
+        from genfrac import Grid, build_kernel_table
+
+        kt = build_kernel_table(parse_phi_spec(spec), Grid(1.0, 512))
+        cp = convolution_powers(kt, suggest_power_count(kt, lam))
+        log_space = cp.k_max * math.log(abs(lam)) >= 690.0
+        rel = 1e-12 if log_space else 1e-15
+        for i in range(0, 513, 8):
+            ref = _series_per_node(cp, lam, i, _certified_k(cp, lam, i))
+            if ref is None:
+                with pytest.raises(CancellationError, match=rf"node {i}\b"):
+                    phi_exp_series(cp, lam, i)
+            else:
+                assert phi_exp_series(cp, lam, i) == pytest.approx(ref, rel=rel, abs=0.0)
+        K = _certified_k(cp, lam, 512)
+        ref = [_series_per_node(cp, lam, i, K) for i in range(513)]
+        if None in ref:
+            with pytest.raises(CancellationError, match=rf"node {ref.index(None)}\b"):
+                phi_exp_series_curve(cp, lam)
+        else:
+            assert phi_exp_series_curve(cp, lam) == pytest.approx(ref, rel=rel, abs=0.0)
 
     def test_suggest_power_count_scales(self, kt_stable_512):
         assert suggest_power_count(kt_stable_512, 0.0) == 1
