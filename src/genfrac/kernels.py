@@ -16,11 +16,16 @@ integrated tail from closed forms (stable, tempered, mixture) or
 inversion of ``phi(z)/z**2``.
 
 Every memory integral and derivative reduces to one history sum,
-``_conv_prefix``, computed as a block-Toeplitz GEMM: one matrix product
-per block lag, each output the sum of the same products as direct
-summation.  Nonnegative values that span many orders of magnitude (the
-convolution powers) therefore keep their componentwise relative accuracy,
-which an FFT, whose error is relative to the largest output, loses.
+``_conv_prefix``, over a window of its outputs: the whole prefix, the new
+cells of a continuation segment, or one block of the forward solve.  A
+window up to one block wide is a direct convolution, a wider one a
+block-Toeplitz GEMM over the output blocks it covers; each output is the
+sum of the same products as direct summation.  Nonnegative values that
+span many orders of magnitude (the convolution powers) therefore keep
+their componentwise relative accuracy, which an FFT, whose error is
+relative to the largest output, loses.  The resolvent solve
+``_resolvent_solve`` marches forward in blocks, each block's history one
+windowed sum.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ INTERIOR_FRAC = 0.05
 
 #: cells per block of the history sum's block-Toeplitz product
 _BLOCK = 128
+
+#: longest dot product of the history sum's direct convolution
+_DOT_CELLS = 8192
 
 
 @dataclass
@@ -153,22 +161,54 @@ def build_kernel_table(
 # -- operators ---------------------------------------------------------------
 
 
-def _conv_prefix(kernel: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """out[i] = sum_{j<=i} kernel[i-j] * cells[j] for i < n, cells of shape (n,) or (n, d).
+def _conv_prefix(kernel: np.ndarray, cells: np.ndarray, first: int = 0, stop=None) -> np.ndarray:
+    """The history sum sum_{j<=i, j<n} kernel[i-j] * cells[j] at the outputs first <= i < stop.
 
-    A block-Toeplitz product: the n cells fall into m blocks of b, and the
-    lag-k block of the Toeplitz matrix, with its columns newest-first, is
-    the Hankel window ``padded[k*b + p + q]`` of the kernel behind b - 1
-    zeros (the zeros make the diagonal block lower triangular).  One GEMM
-    per lag takes every column at once, and every output stays a sum of
+    ``cells`` has shape (n,) or (n, d); ``stop`` defaults to n, so the
+    default window is the whole prefix, and a window may reach past the
+    cells' end.  Kernel entries past its length count as zero.  The output
+    has stop - first rows and the columns of ``cells``.
+
+    A window no wider than one block, ``_BLOCK`` outputs, is one
+    ``np.convolve`` per column over the kernel lags it reads, in chunks of
+    at most ``_DOT_CELLS`` cells: OpenBLAS splits longer dot products
+    across its threads, and the split would move the last digits with the
+    thread count.  A wider window is a block-Toeplitz product over the
+    output blocks it covers: the cells fall into blocks of b, and the lag-k
+    block of the Toeplitz matrix, with its columns newest-first, is the
+    Hankel window ``padded[k*b + p + q]`` of the kernel behind b - 1 zeros
+    (the zeros make the diagonal block lower triangular).  One GEMM per lag
+    takes every column at once.  Either way every output stays a sum of
     the same products as direct summation.
     """
     n = len(cells)
+    stop = n if stop is None else stop
     d = cells.size // n
-    b = min(_BLOCK, n)
-    m = -(-n // b)
-    padded = np.zeros((m + 1) * b - 1)
-    padded[b - 1 : b - 1 + min(n, len(kernel))] = kernel[:n]
+    width = stop - first
+    shape = (width,) + cells.shape[1:]
+    if width <= _BLOCK:
+        # win[r] = kernel[lo + r] for the lags lo..stop-1 the window reads
+        lo = first - n + 1
+        if lo >= 0 and stop <= len(kernel):
+            win = kernel[lo:stop]
+        else:
+            win = np.zeros(stop - lo)
+            a, e = max(lo, 0), min(stop, len(kernel))
+            win[a - lo : max(e, a) - lo] = kernel[a:e]
+        cols = cells.reshape(n, d).T
+        out = np.zeros((d, width))
+        for j0 in range(0, n, _DOT_CELLS):
+            # cells j0..j1-1 read the lags first-j1+1..stop-1-j0
+            j1 = min(j0 + _DOT_CELLS, n)
+            part = win[n - j1 : n - j0 + width - 1]
+            for c in range(d):
+                out[c] += np.convolve(part, cols[c, j0:j1], "valid")
+        return out.T.reshape(shape)
+    b = _BLOCK
+    m = -(-n // b)  # cell blocks
+    lo_block, hi_block = first // b, (stop - 1) // b  # output blocks
+    padded = np.zeros((hi_block + 2) * b - 1)
+    padded[b - 1 : b - 1 + min(stop, len(kernel))] = kernel[:stop]
     # read-only Hankel view hankel[r] = padded[r : r + b]; as_strided costs a
     # third of sliding_window_view's fixed overhead, which short calls feel
     step = padded.strides[0]
@@ -179,12 +219,17 @@ def _conv_prefix(kernel: np.ndarray, cells: np.ndarray) -> np.ndarray:
     v = np.zeros((m * b, d))
     v[:n] = cells.reshape(n, d)
     v = v.reshape(m, b, d)[:, ::-1].transpose(1, 0, 2).reshape(b, m * d)
-    out = np.zeros((b, m * d))
-    for k in range(m):
+    out = np.zeros((b, (hi_block - lo_block + 1) * d))
+    for k in range(max(0, lo_block - m + 1), hi_block + 1):
+        # output blocks I in [i0, i1] read cell blocks I - k
+        i0, i1 = max(lo_block, k), min(hi_block, k + m - 1)
         # a unit-stride copy of the b x b block lets the product run in BLAS
         h_k = np.ascontiguousarray(hankel[k * b : (k + 1) * b])
-        out[:, k * d :] += h_k @ v[:, : (m - k) * d]
-    return out.reshape(b, m, d).transpose(1, 0, 2).reshape(m * b, d)[:n].reshape(cells.shape)
+        out[:, (i0 - lo_block) * d : (i1 - lo_block + 1) * d] += (
+            h_k @ v[:, (i0 - k) * d : (i1 - k + 1) * d]
+        )
+    rows = out.reshape(b, -1, d).transpose(1, 0, 2).reshape(-1, d)
+    return rows[first - lo_block * b : stop - lo_block * b].reshape(shape)
 
 
 def _frac_integral_values(u_cell: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -199,33 +244,64 @@ def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
 
     ``b`` has shape (N+1, d); ``g`` is either per-node scalars of shape
     (N+1,) or one constant d x d matrix.  The system is lower triangular:
-    x_i meets itself with weight W_0/2, node 0 enters with W_{i-1}/2 and
-    node 0 < j < i with (W_{i-1-j} + W_{i-j})/2, so one forward march
-    solves it exactly.  Where the Neumann series of the system diverges,
-    max|g_i| W_0/2 >= 1 or rho(g) W_0/2 >= 1 for a matrix (the spectral
-    radius of a lower-triangular operator is its largest diagonal entry),
-    the solve is refused.
+    node 0 enters x_i with weight W_{i-1}/2 and node 0 < j <= i with
+    c_{i-j}, where c_0 = W_0/2 and c_r = (W_{r-1} + W_r)/2.
+
+    It is solved forward in blocks.  The history of the solved nodes at a
+    block is one windowed history sum, :func:`_conv_prefix`.  For scalar g
+    a block of ``_BLOCK // 2`` nodes is one dense solve of
+    (I - diag(g) T) x = b + g * hist, with T the lower-triangular Toeplitz
+    matrix of the c_r.  For a matrix g the block matrix I - T kron g is the
+    same for every block of ``_BLOCK // d`` nodes, so it is inverted once:
+    its inverse is block Toeplitz, and its first block column is a forward
+    march over one block.
+
+    A non-finite b or g is refused with ValueError.  Where the Neumann
+    series of the system diverges, max|g_i| W_0/2 >= 1 or rho(g) W_0/2 >= 1
+    for a matrix (the spectral radius of a lower-triangular operator is its
+    largest diagonal entry), the solve is refused with NonconvergenceError.
     """
+    if not (np.isfinite(b).all() and np.isfinite(g).all()):
+        raise ValueError("the resolvent solve needs finite b and g")
     n = len(u_cell)
-    half = 0.5 * u_cell[0]
     scalar = np.ndim(g) == 1
-    radius = float(np.abs(g if scalar else np.linalg.eigvals(g)).max()) * half
+    radius = float(np.abs(g if scalar else np.linalg.eigvals(g)).max()) * 0.5 * u_cell[0]
     if not radius < 1.0:
         raise NonconvergenceError(
             f"resolvent series diverges: diagonal weight of g*I is {radius:.3g} >= 1; "
             "refine the grid or shorten the horizon"
         )
+    c = np.concatenate(([0.5 * u_cell[0]], 0.5 * (u_cell[:-1] + u_cell[1:])))
+    d = b.shape[1]
+    # a dense solve costs k^3 per block: half a history block is cheaper per
+    # node than a whole one; a product with the inverse costs (k d)^2
+    k = min(_BLOCK // 2 if scalar else max(1, _BLOCK // d), n)
+    lag = np.subtract.outer(np.arange(k), np.arange(k))  # p - q
     if scalar:
-        step = lambda i, hist: (b[i] + g[i] * hist) / (1.0 - g[i] * half)  # noqa: E731
+        T = np.where(lag >= 0, c[np.abs(lag)], 0.0)
     else:
-        solve = np.linalg.inv(np.eye(len(g)) - half * g)
-        step = lambda i, hist: solve @ (b[i] + g @ hist)  # noqa: E731
-    # mid[n-1-m] = (W_{m-1} + W_m)/2: the weights of nodes 1..i-1, newest first
-    mid = 0.5 * (u_cell[:-1] + u_cell[1:])[::-1]
+        # X_r, the lag-r block of the inverse, solves (I - c_0 g) X_r = g sum_{q<r} c_{r-q} X_q
+        X = np.empty((k, d, d))
+        X[0] = np.linalg.inv(np.eye(d) - c[0] * g)
+        step = X[0] @ g
+        flat = X.reshape(k, d * d)
+        for r in range(1, k):
+            X[r] = step @ (c[r:0:-1] @ flat[:r]).reshape(d, d)
+        inv = np.where((lag >= 0)[:, :, None, None], X[np.abs(lag)], 0.0)
+        inv = inv.transpose(0, 2, 1, 3).reshape(k * d, k * d)
     x = np.empty_like(b, dtype=float)
     x[0] = b[0]
-    for i in range(1, n + 1):
-        x[i] = step(i, 0.5 * u_cell[i - 1] * x[0] + mid[n - i :] @ x[1:i])
+    for s in range(1, n + 1, k):
+        e = min(s + k, n + 1)
+        w = e - s
+        hist = 0.5 * u_cell[s - 1 : e - 1, None] * x[0]
+        if s > 1:
+            hist += _conv_prefix(c, x[1:s], s - 1, e - 1)
+        if scalar:
+            A = np.eye(w) - g[s:e, None] * T[:w, :w]
+            x[s:e] = np.linalg.solve(A, b[s:e] + g[s:e, None] * hist)
+        else:
+            x[s:e] = (inv[: w * d, : w * d] @ (b[s:e] + hist @ g.T).ravel()).reshape(w, d)
     return x
 
 

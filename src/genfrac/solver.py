@@ -205,9 +205,8 @@ def _solve_segment(
 
     base = problem.f0
     if mp > 0:
-        g_pad = np.zeros((m, problem.dim))
-        g_pad[:mp] = problem.eval_rhs(nodes[:mp] + 0.5 * h, 0.5 * (prior[:-1] + prior[1:]))
-        base = problem.f0 + _conv_prefix(kt.u_cell[:m], g_pad)[mp:]
+        g = problem.eval_rhs(nodes[:mp] + 0.5 * h, 0.5 * (prior[:-1] + prior[1:]))
+        base = problem.f0 + _conv_prefix(kt.u_cell, g, mp, m)
 
     ts = nodes[mp:m] + 0.5 * h
     W = kt.u_cell[:k]

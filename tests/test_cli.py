@@ -367,22 +367,43 @@ class TestReproducibility:
         assert ma["config_hash"] == mb["config_hash"]
 
     def test_blas_threads_keep_csv_bytes(self, tmp_path):
-        # the history sums run through BLAS; its thread count must not move a digit
-        bodies = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = os.environ | {
-                "PYTHONPATH": str(Path(genfrac.__file__).parents[1]),
-                "OPENBLAS_NUM_THREADS": threads,
-            }
-            proc = subprocess.run(
-                [sys.executable, "-m", "genfrac.cli", "eigen", "--phi", "tempered:0.5,1.0",
-                 "--lambda", "-1", "--method", "series", "--N", "4096", "--out", str(out)],
-                capture_output=True, text=True, env=env, timeout=300,
+        # the history sums and the block solves run through BLAS and LAPACK;
+        # their thread count must not move a digit.  The solve has short
+        # segments past node 10000, whose history is one long direct
+        # convolution, and the instance's 301 nodes span several blocks
+        problem = tmp_path / "logistic.kv"
+        problem.write_text("d = 1\nf0 = 0.4\nT = 1.0\nR = 0.05\nrhs = logistic\nrate = 1.0\n")
+        t = np.linspace(0.0, 1.0, 301)
+        instance = tmp_path / "inst.kv"
+        instance.write_text(
+            "t = 1.0\n"
+            + "".join(
+                f"{key} = {','.join(repr(float(v)) for v in vals)}\n"
+                for key, vals in (("x", 0.9 * (0.5 + 0.5 * t)), ("a", 0.5 + 0.5 * t), ("g", 1.0 + t))
             )
-            assert proc.returncode == 0, proc.stderr
-            bodies.append((out / "eigen.csv").read_bytes())
-        assert bodies[0] == bodies[1]
+        )
+        commands = {
+            "eigen.csv": ["eigen", "--phi", "tempered:0.5,1.0", "--lambda", "-1",
+                          "--method", "series", "--N", "4096"],
+            "solve.csv": ["solve", "--phi", "stable:0.5", "--problem", str(problem),
+                          "--N", "16384"],
+            "gronwall.csv": ["gronwall", "--phi", "stable:0.5", "--instance", str(instance)],
+        }
+        for csv_name, argv in commands.items():
+            bodies = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{csv_name}-threads{threads}"
+                env = os.environ | {
+                    "PYTHONPATH": str(Path(genfrac.__file__).parents[1]),
+                    "OPENBLAS_NUM_THREADS": threads,
+                }
+                proc = subprocess.run(
+                    [sys.executable, "-m", "genfrac.cli", *argv, "--out", str(out)],
+                    capture_output=True, text=True, env=env, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                bodies.append((out / csv_name).read_bytes())
+            assert bodies[0] == bodies[1], csv_name
 
     def test_solve_rerun_byte_identical(self, problem_file, tmp_path):
         args = ["solve", "--phi", "stable:0.5", "--problem", str(problem_file), "--N", "128"]

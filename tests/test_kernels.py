@@ -13,6 +13,7 @@ from genfrac import (
     kernel_table_from_csv,
     kernel_table_to_csv,
 )
+from genfrac.errors import NonconvergenceError
 from genfrac.kernels import _conv_prefix, _frac_integral_values, _resolvent_solve
 
 from conftest import INV_GAMMA_1_5, INV_GAMMA_2_5
@@ -114,6 +115,9 @@ class TestConvPrefix:
     @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 4097])
     @pytest.mark.parametrize("width", [None, 1, 3])
     def test_matches_direct_convolution(self, n, width):
+        # the whole prefix; narrow and wide windows that start inside the
+        # cells and end at or past their end; one entirely past it, as the
+        # continuation and the block history of the forward solve read it
         rng = np.random.default_rng(n)
         kernel = rng.uniform(0.0, 1.0, size=n + 5)
         shape = (n,) if width is None else (n, width)
@@ -124,10 +128,120 @@ class TestConvPrefix:
         assert got.shape == cells.shape
         scale = np.abs(kernel[:n]).sum() * np.abs(cells).max()
         assert np.abs(got - direct.reshape(shape)).max() <= 1e-14 * scale
+        direct = np.stack([np.convolve(kernel, c) for c in columns], axis=1)
+        windows = {(f, s) for f in (0, 1, n // 2, n - 7, n - 1) for s in (n, n + 5) if 0 <= f < s}
+        for first, stop in sorted(windows | {(n, n + 5)}):
+            got = _conv_prefix(kernel, cells, first, stop)
+            assert got.shape == (stop - first,) + cells.shape[1:]
+            want = direct[first:stop].reshape(got.shape)
+            scale = np.abs(kernel[:stop]).sum() * np.abs(cells).max()
+            assert np.abs(got - want).max() <= 1e-14 * scale, (first, stop)
+
+
+def _node_march(u_cell, b, g):
+    """The forward solve one node at a time: x_i from one dot product with
+    the solved nodes 1..i-1 and the diagonal weight W_0/2."""
+    n = len(u_cell)
+    half = 0.5 * u_cell[0]
+    if np.ndim(g) == 1:
+        step = lambda i, hist: (b[i] + g[i] * hist) / (1.0 - g[i] * half)  # noqa: E731
+    else:
+        solve = np.linalg.inv(np.eye(len(g)) - half * g)
+        step = lambda i, hist: solve @ (b[i] + g @ hist)  # noqa: E731
+    # mid[n-1-m] = (W_{m-1} + W_m)/2: the weights of nodes 1..i-1, newest first
+    mid = 0.5 * (u_cell[:-1] + u_cell[1:])[::-1]
+    x = np.empty_like(b, dtype=float)
+    x[0] = b[0]
+    for i in range(1, n + 1):
+        x[i] = step(i, 0.5 * u_cell[i - 1] * x[0] + mid[n - i :] @ x[1:i])
+    return x
+
+
+def _relerr(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestResolventSolve:
-    """The forward solve against the memory integral it inverts."""
+    """The forward solve against the memory integral it inverts, and the
+    blocked solve against the node march."""
+
+    @pytest.fixture(scope="class", params=["stable:0.5", "tempered:0.5,1.0"])
+    def spec(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 256, 300, 4097])
+    def test_blocked_matches_node_march(self, spec, n):
+        from genfrac import parse_phi_spec
+
+        u_cell = build_kernel_table(parse_phi_spec(spec), Grid(1.0, n)).u_cell
+        half = 0.5 * u_cell[0]
+        rng = np.random.default_rng(n)
+        for d in (1, 2):
+            b = rng.uniform(-1.0, 1.0, size=(n + 1, d))
+            g = rng.uniform(0.0, 1.5, size=n + 1)
+            # one node at max|g| W_0/2 = 0.9, where the diagonal of the block is 0.1
+            spike = g.copy()
+            spike[rng.integers(1, n + 1)] = 0.9 / half
+            for gv in (g, spike):
+                want = _node_march(u_cell, b, gv)
+                assert _relerr(_resolvent_solve(u_cell, b, gv), want) <= 1e-13
+        for d in (2, 7):
+            M = rng.uniform(-1.0, 1.0, size=(d, d))
+            # coarse grids have a large W_0: keep rho(M) W_0/2 at most 1/2
+            M *= min(1.0, 0.5 / (np.abs(np.linalg.eigvals(M)).max() * half))
+            b = rng.uniform(-1.0, 1.0, size=(n + 1, d))
+            want = _node_march(u_cell, b, M)
+            assert _relerr(_resolvent_solve(u_cell, b, M), want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 300, 4097])
+    def test_solves_below_the_refusal_and_refuses_at_it(self, spec, n):
+        from genfrac import parse_phi_spec
+
+        u_cell = build_kernel_table(parse_phi_spec(spec), Grid(1.0, n)).u_cell
+        half = 0.5 * u_cell[0]
+        rng = np.random.default_rng(n)
+        b = rng.uniform(-1.0, 1.0, size=(n + 1, 1))
+        g = rng.uniform(0.0, 1.5, size=n + 1)
+        node = rng.integers(1, n + 1)
+        g[node] = 0.999 / half
+        x = _resolvent_solve(u_cell, b, g)
+        assert np.isfinite(x).all()
+        assert _relerr(x, _node_march(u_cell, b, g)) <= 1e-13
+        # 1 + 1e-12: the product with W_0/2 must not round below 1
+        g[node] = (1.0 + 1e-12) / half
+        with pytest.raises(NonconvergenceError):
+            _resolvent_solve(u_cell, b, g)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_matrix_solves_below_the_refusal_and_refuses_at_it(self, spec, n):
+        # a constant rate of 0.999 / (W_0/2) grows like exp(rate^2 t): the
+        # grids stay coarse enough for the solution to be finite
+        from genfrac import parse_phi_spec
+
+        u_cell = build_kernel_table(parse_phi_spec(spec), Grid(1.0, n)).u_cell
+        half = 0.5 * u_cell[0]
+        b = np.ones((n + 1, 2))
+        M = np.array([[0.999 / half, 0.3], [0.0, 0.5]])
+        x = _resolvent_solve(u_cell, b, M)
+        assert np.isfinite(x).all()
+        assert _relerr(x, _node_march(u_cell, b, M)) <= 1e-13
+        M[0, 0] = (1.0 + 1e-12) / half
+        with pytest.raises(NonconvergenceError):
+            _resolvent_solve(u_cell, b, M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_are_refused(self, kt_stable_512, bad):
+        n = kt_stable_512.grid.cells + 1
+        b = np.ones((n, 1))
+        g = np.full(n, 0.5)
+        g[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _resolvent_solve(kt_stable_512.u_cell, b, g)
+        b[3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _resolvent_solve(kt_stable_512.u_cell, b, np.full(n, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            _resolvent_solve(kt_stable_512.u_cell, np.ones((n, 1)), np.array([[bad]]))
 
     def test_scalar_g_solves_the_system(self, kt_stable_512):
         rng = np.random.default_rng(7)

@@ -230,6 +230,18 @@ class TestContinuation:
             assert state.residual_sup == pytest.approx(residual, rel=1e-12)
             assert residual <= tol
 
+    def test_segment_march_is_pinned(self, kt_stable_4096):
+        # the segment schedule and the sweeps per segment of a long march;
+        # the frozen history only moves the last digits, never a decision
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        tol = 1e-10
+        _, states = solve_to_horizon(problem, kt_stable_4096, R=0.05, tol=tol)
+        sweeps = [s.iteration_count for s in states]
+        assert len(states) == 602
+        assert sum(sweeps) == 2411
+        assert sweeps == [5] * 11 + [4] * 26 + [3] * 8 + [4] * 557
+        assert max(s.residual_sup for s in states) <= 2 * tol
+
     def test_global_runs_agree_across_segmentations(self, kt_stable_512):
         # global uniqueness probe: different restart schedules (induced by
         # different confinement radii) yield the same full-grid solution
@@ -308,6 +320,15 @@ class TestNeumann:
         kt = build_kernel_table(stable_half, Grid(1.0, 64))
         with pytest.raises(NonconvergenceError):
             neumann_affine_solve(kt, [[30.0]], [0.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "linmap, xi, f0",
+        [([[np.nan]], [0.0], [1.0]), ([[-1.0]], [np.inf], [1.0]), ([[-1.0]], [0.0], [np.nan])],
+    )
+    def test_non_finite_input_is_refused(self, kt_stable_512, linmap, xi, f0):
+        # one check in the forward solve, before the spectral radius or the march
+        with pytest.raises(ValueError, match="resolvent solve needs finite"):
+            neumann_affine_solve(kt_stable_512, linmap, xi, f0)
 
     @pytest.mark.parametrize("phi", ["stable_half", "tempered_half"])
     def test_system_agrees_with_picard(self, request, phi):
