@@ -13,8 +13,8 @@ class Grid:
     __slots__ = ("horizon", "cells", "step", "nodes")
 
     def __init__(self, horizon: float, cells: int):
-        if not horizon > 0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
         if cells < 1:
             raise ValueError(f"need at least one cell, got {cells}")
         self.horizon = float(horizon)

@@ -33,7 +33,7 @@ from scipy.special import gamma as _gamma
 from .grids import Grid, GridFunction
 from .kernels import KernelTable, _conv_prefix, _frac_integral_values, _resolvent_solve
 from .mittag import derivative_log_terms
-from .phiexp import ConvolutionPowers, phi_exp, phi_exp_series_curve
+from .phiexp import ConvolutionPowers, _series, phi_exp_series_curve
 from .solver import IvpProblem, _horizon_index, picard_solve, select_horizon
 
 __all__ = [
@@ -370,6 +370,14 @@ _CONTINUITY_SLACK = 0.05
 _CONTINUITY_TOL = 1e-10
 
 
+def _eigen_curve(kt: KernelTable, cp: ConvolutionPowers, lam: float, m: int) -> np.ndarray:
+    """e(t_i; lam) for i = 0..m by the series, certified at t_m, the
+    horizon of the run; raises TruncationError where cp cannot certify it."""
+    if cp.grid != kt.grid:
+        raise ValueError("grid mismatch between the kernel table and the convolution powers")
+    return _series(cp, lam, 0, m + 1)
+
+
 def continuity_experiment_initial(
     problem: IvpProblem,
     kt: KernelTable,
@@ -388,8 +396,8 @@ def continuity_experiment_initial(
     r_tilde = R + 1.0 + float(np.linalg.norm(f0))
     m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     L = float(problem.lip_l(r_tilde))
+    factor = float(_eigen_curve(kt, cp, L, m)[-1])
     base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-    factor = phi_exp(kt.phi, cp, L, m)
 
     rows = []
     all_ok = True
@@ -413,7 +421,7 @@ def continuity_experiment_initial(
                 "ok": ok,
             }
         )
-    return ContinuityReport(rows=rows, bound_factor=float(factor), t_prime=float(kt.grid.nodes[m]), ok=all_ok)
+    return ContinuityReport(rows=rows, bound_factor=factor, t_prime=float(kt.grid.nodes[m]), ok=all_ok)
 
 
 @dataclass
@@ -446,8 +454,8 @@ def continuity_experiment_parameter(
     base_problem = family.make(v0)
     sel = select_horizon(base_problem, kt, R)
     m = sel.index
+    e_curve = _eigen_curve(kt, cp, family.lip_state, m)
     base, _ = picard_solve(base_problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-    e_curve = phi_exp_series_curve(cp, family.lip_state)[: m + 1]
     envelope = kt.U_node[: m + 1] * e_curve
 
     rows = []

@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,7 +82,6 @@ class KernelTable:
     c_assump: float
     c_fit: float
     c_env_U: float
-    phi: Optional[BernsteinFunction] = None
 
 
 def build_kernel_table(
@@ -154,7 +152,6 @@ def build_kernel_table(
         c_assump=phi.c_assump,
         c_fit=c_fit,
         c_env_U=c_env_U,
-        phi=phi,
     )
 
 
@@ -397,7 +394,7 @@ def kernel_table_to_csv(kt: KernelTable, path) -> None:
             writer.writerow([i, format(t, ".17g"), w, format(kt.U_node[i], ".17g"), v])
 
 
-def kernel_table_from_csv(path, phi: Optional[BernsteinFunction] = None) -> KernelTable:
+def kernel_table_from_csv(path) -> KernelTable:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -420,5 +417,4 @@ def kernel_table_from_csv(path, phi: Optional[BernsteinFunction] = None) -> Kern
         c_assump=float(params["c_assump"]),
         c_fit=float(params["c_fit"]),
         c_env_U=float(params["c_env_U"]),
-        phi=phi,
     )

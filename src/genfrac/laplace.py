@@ -28,7 +28,6 @@ from .errors import AbscissaError, InversionError
 
 __all__ = [
     "InversionConfig",
-    "invert",
     "invert_grid",
     "abscissa_for_eigen",
     "parse_ilt_spec",
@@ -105,11 +104,6 @@ def _transform_values(fn, z: np.ndarray, dtype) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise InversionError("non-finite transform values at the inversion nodes")
     return vals
-
-
-def invert(transform, t: float, cfg: InversionConfig = DEFAULT_CONFIG) -> float:
-    """Approximate the original function of ``transform`` at time t > 0."""
-    return float(invert_grid(transform, [t], cfg)[0])
 
 
 def invert_grid(transform, ts, cfg: InversionConfig = DEFAULT_CONFIG) -> np.ndarray:

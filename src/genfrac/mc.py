@@ -127,17 +127,18 @@ def _draw_increments(cfg: McConfig, rng: np.random.Generator, size):
     return sample_tempered_increment(cfg.phi.alpha, cfg.phi.theta, cfg.dt, rng, size=size)
 
 
-def inverse_passage(increments: np.ndarray, t: float, dt: float) -> float:
-    """First operational time y (a multiple of dt) with sigma(y) > t.
+def inverse_passage(increments: np.ndarray, t, dt: float):
+    """First operational time y (a multiple of dt) with sigma(y) > t, for
+    one level t or an array of levels in any order.
 
     ``increments`` is one path's increment sequence; the discrete passage
     time overestimates the continuum one by at most dt.
     """
     cum = np.cumsum(np.asarray(increments, dtype=float))
-    j = int(np.searchsorted(cum, t, side="right"))
-    if j >= cum.shape[0]:
+    j = np.searchsorted(cum, t, side="right")
+    if np.any(j >= cum.shape[0]):
         raise PathExhaustedError(
-            f"path (length {cum.shape[0]}) never exceeded level t={t}; extend it"
+            f"path (length {cum.shape[0]}) never exceeded level t={np.max(t)}; extend it"
         )
     return (j + 1) * dt
 
@@ -148,14 +149,14 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
     Paths are extended blockwise until they pass the largest target, up to
     a hard cap on the operational steps.
     """
-    targets = np.asarray(sorted(float(t) for t in t_targets))
+    targets = np.asarray(t_targets, dtype=float)
     if targets.size == 0:
         raise ValueError("need at least one target time")
-    if np.any(targets < 0) or float(targets.max()) > cfg.t_max:
-        raise ValueError(f"targets must lie in [0, t_max={cfg.t_max}]")
+    bad = targets[~((targets >= 0) & (targets <= cfg.t_max))]
+    if bad.size:
+        raise ValueError(f"target {bad[0]} does not lie in [0, t_max={cfg.t_max}]")
     t_top = float(targets.max())
     out = np.empty((cfg.n_paths, targets.size))
-    order = np.argsort(np.argsort([float(t) for t in t_targets]))  # undo the sort later
     for i in range(cfg.n_paths):
         rng = _path_rng(cfg.seed, i)
         chunks = []
@@ -172,10 +173,8 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
             total += float(inc.sum())
             steps += block
             block = min(2 * block, 65536)
-        cum = np.cumsum(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
-        idx = np.searchsorted(cum, targets, side="right")
-        out[i] = (idx + 1) * cfg.dt
-    return out[:, order]
+        out[i] = inverse_passage(np.concatenate(chunks), targets, cfg.dt)
+    return out
 
 
 def _mean_se(values: np.ndarray) -> McEstimate:

@@ -8,6 +8,9 @@ by three independent routes:
 * numerical inversion of the transform phi(z) / (z * (phi(z) - lam));
 * Monte Carlo over inverse-subordinator samples (module ``mc``).
 
+No route falls back on another: where the series cannot certify its
+value it raises, and the caller picks another route.
+
 The series truncation is certified against the explicit majorant
 ``u_k(t) <= C1 * C2^(k-1) * beta * (Gamma(beta) t^beta)^k / Gamma(k beta + 1)``
 built from the fitted kernel envelopes C2 (for u) and C1 (for U).
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from .bernstein import BernsteinFunction
@@ -35,9 +36,7 @@ __all__ = [
     "suggest_power_count",
     "phi_exp_series",
     "phi_exp_series_curve",
-    "phi_exp_laplace",
     "phi_exp_laplace_curve",
-    "phi_exp",
     "eigen_residual",
 ]
 
@@ -178,7 +177,7 @@ def phi_exp_series(cp: ConvolutionPowers, lam: float, t_index: int) -> float:
     Raises :class:`TruncationError` when the stored powers cannot certify
     the tail and :class:`CancellationError` when the alternating sum
     amplifies the quadrature noise of the powers beyond trust
-    (sum|term| > 1e6 |sum|); fall back to the Laplace route then.
+    (sum|term| > 1e6 |sum|); :func:`phi_exp_laplace_curve` answers there.
     """
     if not 0 <= t_index <= cp.grid.cells:
         raise ValueError(f"t_index out of range 0..{cp.grid.cells}")
@@ -219,40 +218,15 @@ def _eigen_shift(phi: BernsteinFunction, lam: float, cfg: InversionConfig) -> fl
     return 1.001 * abscissa_for_eigen(phi, lam)
 
 
-def phi_exp_laplace(
-    phi: BernsteinFunction, lam: float, t: float, cfg: InversionConfig = DEFAULT_CONFIG
-) -> float:
-    """Eigenfunction value by inversion of phi(z)/(z (phi(z) - lam))."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return float(phi_exp_laplace_curve(phi, lam, [t], cfg)[0])
-
-
 def phi_exp_laplace_curve(
     phi: BernsteinFunction, lam: float, ts, cfg: InversionConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Vectorized Laplace route over an array of positive times."""
+    """Laplace route at an array of positive times."""
     _require_finite(lam)
     shift = _eigen_shift(phi, lam, cfg)
     guard = 1e-8 * max(1.0, abs(lam))
     transform = _eigen_transform(phi, lam, guard)
     return invert_grid(transform, ts, replace(cfg, abscissa_shift=shift))
-
-
-def phi_exp(
-    phi: Optional[BernsteinFunction], cp: ConvolutionPowers, lam: float, t_index: int
-) -> float:
-    """Series evaluation with automatic fallback to the Laplace route, under
-    the default Gaver-Stehfest order 16, when the series refuses
-    (cancellation or uncertified tail).  Without a ``phi`` (a kernel table
-    read from CSV has none) the refusal propagates."""
-    try:
-        return phi_exp_series(cp, lam, t_index)
-    except (CancellationError, TruncationError):
-        if phi is None:
-            raise
-        # node 0 never gets here: its certificate holds at K = 1 with sum 1
-        return phi_exp_laplace(phi, lam, float(cp.grid.nodes[t_index]))
 
 
 def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:

@@ -389,7 +389,8 @@ def neumann_affine_solve(kt: KernelTable, linmap, xi, f0) -> GridFunction:
     M = np.atleast_2d(np.asarray(linmap, dtype=float))
     if M.shape != (d, d) or xi.shape != (d,):
         raise ValueError("linmap must be (d, d) and xi length d")
-    b = f0[None, :] + kt.U_node[:, None] * xi[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):  # the solve refuses a non-finite b
+        b = f0[None, :] + kt.U_node[:, None] * xi[None, :]
     return GridFunction(kt.grid, _resolvent_solve(kt.u_cell, b, M))
 
 

@@ -10,7 +10,7 @@ from genfrac import (
     InversionConfig,
     eval_conjugate,
     eval_phi,
-    invert,
+    invert_grid,
     levy_tail,
     load_phi_config,
     parse_phi_spec,
@@ -84,21 +84,24 @@ class TestLevyTail:
     def test_stable_vs_inversion(self):
         # independent route: invert phi(z)/z numerically
         phi = BernsteinFunction.stable(0.5)
-        for t in (0.25, 1.0, 3.0):
-            numeric = invert(lambda z: phi.phi(z) / z, t, InversionConfig())
-            assert numeric == pytest.approx(levy_tail(phi, t), rel=1e-5)
+        ts = [0.25, 1.0, 3.0]
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        for t, val in zip(ts, numeric):
+            assert val == pytest.approx(levy_tail(phi, t), rel=1e-5)
 
     def test_tempered_vs_inversion(self):
         phi = BernsteinFunction.tempered(0.5, 1.0)
-        for t in (0.1, 0.5, 2.0):
-            numeric = invert(lambda z: phi.phi(z) / z, t, InversionConfig())
-            assert numeric == pytest.approx(levy_tail(phi, t), rel=2e-5)
+        ts = [0.1, 0.5, 2.0]
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        for t, val in zip(ts, numeric):
+            assert val == pytest.approx(levy_tail(phi, t), rel=2e-5)
 
     def test_mixture_vs_inversion(self):
         phi = BernsteinFunction.mixture([0.3, 0.7], [0.4, 0.8])
-        for t in (0.1, 1.0):
-            numeric = invert(lambda z: phi.phi(z) / z, t, InversionConfig())
-            assert numeric == pytest.approx(levy_tail(phi, t), rel=2e-5)
+        ts = [0.1, 1.0]
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        for t, val in zip(ts, numeric):
+            assert val == pytest.approx(levy_tail(phi, t), rel=2e-5)
 
     def test_tail_decreases_to_zero(self, catalog_phis):
         grid = np.logspace(-2, 4, 60)

@@ -50,6 +50,15 @@ class TestKernels:
         assert manifest["command"] == "kernels"
         assert manifest["tool_version"]
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
+    def test_bad_horizon_is_usage_error(self, tmp_path, capsys, horizon):
+        out = tmp_path / "k"
+        assert run(
+            ["kernels", "--phi", "stable:0.5", "--T", horizon, "--N", "8", "--out", str(out)]
+        ) == 2
+        assert "usage error: horizon must be positive and finite" in capsys.readouterr().err
+        assert not (out / "kernels.csv").exists()
+
 
 class TestEigen:
     def test_series_laplace_agreement(self, tmp_path):
@@ -249,6 +258,13 @@ class TestMc:
         ) == 0
         lines = (out / "mc.csv").read_text().splitlines()
         assert lines[0] == "quantity,value,std_error,target"
+
+    def test_non_finite_target_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            ["mc", "--phi", "stable:0.5", "--paths", "200", "--estimate", "U:nan",
+             "--out", str(tmp_path)]
+        ) == 2
+        assert "usage error: target nan" in capsys.readouterr().err
 
     def test_bad_estimate_kind(self, tmp_path):
         assert run(

@@ -24,6 +24,8 @@ from genfrac import (
     ml_bound,
     monotone_bound,
     parse_phi_spec,
+    phi_exp_series,
+    phi_exp_series_curve,
     random_instance,
     rhs_linear,
     rhs_logistic,
@@ -31,6 +33,7 @@ from genfrac import (
     saturated_instance,
     series_bound,
     suggest_power_count,
+    TruncationError,
 )
 from genfrac.kernels import _frac_integral_values
 
@@ -394,14 +397,26 @@ class TestContinuity:
         ratios = [row["ratio"] for row in rep.rows]
         assert max(ratios) / min(ratios) <= 1.2
 
-    def test_initial_without_phi(self, kt_stable_512, cp_stable_512):
-        # a table read from CSV has no phi: the factor is the series value alone
-        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
-        args = (cp_stable_512, 1.0, [0.01, 0.02])
-        rep = continuity_experiment_initial(problem, kt_stable_512, *args)
-        bare = continuity_experiment_initial(problem, replace(kt_stable_512, phi=None), *args)
-        assert bare.bound_factor == rep.bound_factor
-        assert bare.rows == rep.rows
+    def test_initial_refuses_an_uncertified_factor(self, kt_stable_512):
+        # four powers cannot certify e(T'; 1); no other route stands in
+        problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
+        cp = convolution_powers(kt_stable_512, 4)
+        with pytest.raises(TruncationError):
+            continuity_experiment_initial(problem, kt_stable_512, cp, R=2.0, deltas=[0.1])
+
+    def test_powers_on_another_grid_are_refused(self, stable_half):
+        kt = build_kernel_table(stable_half, Grid(1.0, 256))
+        cp = convolution_powers(build_kernel_table(stable_half, Grid(2.0, 256)), 72)
+        problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            continuity_experiment_initial(problem, kt, cp, R=2.0, deltas=[0.1])
+        family = ParamFamily(
+            make=lambda v: make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0),
+            lip_param=1.0,
+            lip_state=1.5,
+        )
+        with pytest.raises(ValueError, match="grid mismatch"):
+            continuity_experiment_parameter(family, kt, cp, v0=[-1.0], deltas=[0.1], R=2.0)
 
     def test_initial_rejects_large_delta(self, kt_stable_512, cp_stable_512):
         problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
@@ -444,6 +459,23 @@ class TestContinuity:
         )
         assert rep.ok
         assert rep.rows[2]["deviation"] <= 1e-10
+
+    def test_parameter_factor_is_certified_at_its_own_horizon(self, kt_stable_512):
+        # 28 powers certify e(t; 1.5) up to T' = t_178 but not up to T = 1
+        def make(v):
+            return make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0)
+
+        cp = convolution_powers(kt_stable_512, 28)
+        with pytest.raises(TruncationError):
+            phi_exp_series_curve(cp, 1.5)
+        family = ParamFamily(make=make, lip_param=1.0, lip_state=1.5)
+        rep = continuity_experiment_parameter(
+            family, kt_stable_512, cp, v0=[-1.0], deltas=[0.1, -0.1], R=2.0
+        )
+        assert rep.ok
+        m = int(round(rep.t_prime / kt_stable_512.grid.step))
+        assert m < kt_stable_512.grid.cells
+        assert rep.bound_factor == phi_exp_series(cp, 1.5, m)
 
     def test_parameter_affine_family(self, kt_stable_512, cp_stable_512):
         from genfrac import rhs_affine

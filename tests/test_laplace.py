@@ -9,7 +9,6 @@ from genfrac import (
     BernsteinFunction,
     InversionConfig,
     abscissa_for_eigen,
-    invert,
     invert_grid,
     parse_ilt_spec,
 )
@@ -24,22 +23,22 @@ class TestBasicPairs:
     def test_constant(self):
         # Gaver-Stehfest at order 16 reproduces constants to ~4e-8; the
         # Talbot route reaches 1e-10.
-        assert invert(lambda z: 1.0 / z, 3.0, GS) == pytest.approx(1.0, abs=1e-7)
-        assert invert(lambda z: 1.0 / z, 3.0, TALBOT) == pytest.approx(1.0, abs=1e-8)
+        assert invert_grid(lambda z: 1.0 / z, [3.0], GS) == pytest.approx([1.0], abs=1e-7)
+        assert invert_grid(lambda z: 1.0 / z, [3.0], TALBOT) == pytest.approx([1.0], abs=1e-8)
 
     def test_identity(self):
-        assert invert(lambda z: 1.0 / z ** 2, 2.0, GS) == pytest.approx(2.0, abs=1e-6)
+        assert invert_grid(lambda z: 1.0 / z ** 2, [2.0], GS) == pytest.approx([2.0], abs=1e-6)
 
     def test_sqrt_pair(self):
-        assert invert(lambda z: z ** -1.5, 1.0, GS) == pytest.approx(
-            INV_GAMMA_1_5, abs=1e-5
+        assert invert_grid(lambda z: z ** -1.5, [1.0], GS) == pytest.approx(
+            [INV_GAMMA_1_5], abs=1e-5
         )
 
     def test_eigen_transform_with_stated_shift(self):
         phi = BernsteinFunction.stable(0.5)
         cfg = InversionConfig(abscissa_shift=1.0)  # pole of the transform sits at 1
-        val = invert(lambda z: phi.phi(z) / (z * (phi.phi(z) - 1.0)), 1.0, cfg)
-        assert val == pytest.approx(ML_ORACLE[(0.5, 1.0)], rel=1e-5)
+        val = invert_grid(lambda z: phi.phi(z) / (z * (phi.phi(z) - 1.0)), [1.0], cfg)
+        assert val == pytest.approx([ML_ORACLE[(0.5, 1.0)]], rel=1e-5)
 
 
 class TestExponentialRoundTrip:
@@ -47,15 +46,15 @@ class TestExponentialRoundTrip:
     def test_recentered(self, c):
         # recentering at the decay rate restores relative accuracy uniformly
         cfg = InversionConfig(abscissa_shift=-c)
-        for t in np.linspace(0.1, 5.0, 9):
-            val = invert(lambda z: 1.0 / (z + c), float(t), cfg)
-            assert val == pytest.approx(math.exp(-c * t), rel=1e-6)
+        ts = np.linspace(0.1, 5.0, 9)
+        vals = invert_grid(lambda z: 1.0 / (z + c), ts, cfg)
+        assert vals == pytest.approx(np.exp(-c * ts), rel=1e-6)
 
     def test_plain_gs_slow_decay(self):
         # without recentering the plain method holds ~1e-6 only for mild decay
-        for t in np.linspace(0.1, 5.0, 9):
-            val = invert(lambda z: 1.0 / (z + 0.1), float(t), GS)
-            assert val == pytest.approx(math.exp(-0.1 * t), rel=1e-6)
+        ts = np.linspace(0.1, 5.0, 9)
+        vals = invert_grid(lambda z: 1.0 / (z + 0.1), ts, GS)
+        assert vals == pytest.approx(np.exp(-0.1 * ts), rel=1e-6)
 
 
 class TestMethodAgreement:
@@ -89,10 +88,9 @@ class TestMethodAgreement:
 
         ts = np.array([0.5, 1.0, 2.0])
         assert invert_grid(scalar_only, ts, GS) == pytest.approx(ts, abs=1e-6)
-        assert invert(scalar_only, 2.0, GS) == pytest.approx(2.0, abs=1e-6)
-        assert invert(lambda z: 1.0 / (cmath.sqrt(z) * z), 1.0, TALBOT) == pytest.approx(
-            INV_GAMMA_1_5, abs=1e-8
-        )
+        assert invert_grid(
+            lambda z: 1.0 / (cmath.sqrt(z) * z), [1.0], TALBOT
+        ) == pytest.approx([INV_GAMMA_1_5], abs=1e-8)
 
 
 class TestAbscissa:
@@ -142,4 +140,4 @@ class TestConfig:
 
     def test_time_must_be_positive(self):
         with pytest.raises(ValueError):
-            invert(lambda z: 1.0 / z, 0.0, GS)
+            invert_grid(lambda z: 1.0 / z, [1.0, 0.0], GS)

@@ -106,8 +106,23 @@ class TestInversePassage:
         with pytest.raises(PathExhaustedError):
             inverse_passage(np.array([0.1, 0.1]), 5.0, dt=0.1)
 
+    def test_array_of_levels_in_any_order(self):
+        inc = np.array([0.3, 0.5, 0.9])  # cum: 0.3, 0.8, 1.7
+        got = inverse_passage(inc, [1.0, 0.0, 0.7], dt=0.1)
+        assert got == pytest.approx([0.3, 0.1, 0.2])
+        with pytest.raises(PathExhaustedError, match="t=5"):
+            inverse_passage(inc, [0.0, 5.0], dt=0.1)
+
     def test_monotone_along_shared_paths(self, inverse_samples):
         assert np.all(np.diff(inverse_samples, axis=1) >= 0)
+
+    def test_shuffled_targets_permute_the_columns(self, stable_half):
+        cfg = McConfig(phi=stable_half, n_paths=200, dt=1e-3, t_max=1.0, seed=3)
+        targets = [0.25, 0.5, 1.0, 0.0]
+        base = sample_inverse_values(cfg, targets)
+        perm = [2, 0, 3, 1]
+        shuffled = sample_inverse_values(cfg, [targets[k] for k in perm])
+        assert np.array_equal(shuffled, base[:, perm])
 
 
 class TestEstimates:
@@ -218,6 +233,11 @@ class TestConfig:
             sample_inverse_values(stable_cfg, [2.0])  # beyond t_max
         with pytest.raises(ValueError):
             sample_inverse_values(stable_cfg, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_target_outside_the_range_is_named(self, stable_cfg, bad):
+        with pytest.raises(ValueError, match=f"target {bad}"):
+            sample_inverse_values(stable_cfg, [0.5, bad])
 
     def test_path_streams_are_keyed(self):
         a = _path_rng(7, 0).random(4)

@@ -13,10 +13,7 @@ from genfrac import (
     convolution_powers,
     eigen_residual,
     mittag_leffler,
-    parse_ilt_spec,
     parse_phi_spec,
-    phi_exp,
-    phi_exp_laplace,
     phi_exp_laplace_curve,
     phi_exp_series,
     phi_exp_series_curve,
@@ -187,14 +184,6 @@ class TestSeriesRoute:
         with pytest.raises(CancellationError):
             phi_exp_series(cp, -6.0, 512)
 
-    def test_phi_exp_without_phi_refuses(self, kt_stable_512):
-        # a table read from CSV has no phi, so there is no Laplace fallback
-        cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
-        assert phi_exp(None, cp, -6.0, 0) == 1.0
-        assert phi_exp(None, cp, -6.0, 64) == phi_exp_series(cp, -6.0, 64)
-        with pytest.raises(CancellationError, match="node 512"):
-            phi_exp(None, cp, -6.0, 512)
-
     def test_curve_cancellation_refusal(self, kt_stable_512):
         cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
         with pytest.raises(CancellationError, match=r"node \d+"):
@@ -280,34 +269,26 @@ class TestSeriesRoute:
 
 class TestLaplaceRoute:
     def test_zero_eigenvalue(self, stable_half):
-        got = phi_exp_laplace(stable_half, 0.0, 3.0)
-        assert got == pytest.approx(1.0, abs=1e-7)
-        got = phi_exp_laplace(
-            stable_half, 0.0, 3.0, InversionConfig(method="talbot")
+        got = phi_exp_laplace_curve(stable_half, 0.0, [3.0])
+        assert got[0] == pytest.approx(1.0, abs=1e-7)
+        got = phi_exp_laplace_curve(
+            stable_half, 0.0, [3.0], InversionConfig(method="talbot")
         )
-        assert got == pytest.approx(1.0, abs=1e-8)
-
-    @pytest.mark.parametrize("spec", ["gs:16", "talbot:32"])
-    def test_point_is_curve_value(self, stable_half, tempered_half, spec):
-        cfg = parse_ilt_spec(spec)
-        for phi in (stable_half, tempered_half):
-            for lam in (-1.0, 0.0, 1.0):
-                curve = phi_exp_laplace_curve(phi, lam, [0.7], cfg)
-                assert phi_exp_laplace(phi, lam, 0.7, cfg) == curve[0]
+        assert got[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_stable_positive_eigenvalue(self, stable_half):
-        got = phi_exp_laplace(stable_half, 1.0, 1.0)
-        assert got == pytest.approx(ML_ORACLE[(0.5, 1.0)], rel=1e-4)
+        got = phi_exp_laplace_curve(stable_half, 1.0, [1.0])
+        assert got[0] == pytest.approx(ML_ORACLE[(0.5, 1.0)], rel=1e-4)
 
     def test_stable_negative_eigenvalue(self, stable_half):
-        got = phi_exp_laplace(stable_half, -1.0, 1.0)
-        assert got == pytest.approx(ML_ORACLE[(0.5, -1.0)], rel=1e-4)
+        got = phi_exp_laplace_curve(stable_half, -1.0, [1.0])
+        assert got[0] == pytest.approx(ML_ORACLE[(0.5, -1.0)], rel=1e-4)
 
-    def test_tempered_cross_route(self, kt_tempered_512):
+    def test_tempered_cross_route(self, kt_tempered_512, tempered_half):
         k = suggest_power_count(kt_tempered_512, -1.0)
         cp = convolution_powers(kt_tempered_512, k)
         series = phi_exp_series(cp, -1.0, 512)
-        laplace = phi_exp_laplace(kt_tempered_512.phi, -1.0, 1.0)
+        laplace = phi_exp_laplace_curve(tempered_half, -1.0, [1.0])[0]
         assert abs(series - laplace) <= 1e-3
 
 
@@ -331,16 +312,29 @@ def kind_tables(catalog_phis):
 
 
 class TestRouteAgreement:
+    #: first node of 512, 1024, 2048 at which the series refuses; the powers
+    #: are sized for lam = 2, and lam = -5 outruns their certificate
+    REFUSES_FROM = {
+        ("stable:0.5", -5.0): 512,
+        ("tempered:0.5,1", -5.0): 512,
+        ("mixture:0.3@0.4+0.7@0.8", -5.0): 1024,
+    }
+
     @pytest.mark.parametrize("lam", [-5.0, -1.0, 0.0, 1.0, 2.0])
     def test_all_catalog_kinds(self, kind_tables, lam):
-        # phi_exp falls back to the Laplace route when the series refuses
-        # (large negative lam), which is part of the contract under test
+        # the series agrees with the Laplace route where it certifies its
+        # value and refuses where it does not: no route stands in for another
+        idx = [512, 1024, 2048]
         for phi, kt, cp in kind_tables:
-            for idx in (512, 1024, 2048):
-                t = kt.grid.nodes[idx]
-                lap = phi_exp_laplace(phi, lam, t)
-                val = phi_exp(phi, cp, lam, idx)
-                assert abs(val - lap) <= 1e-3 * (1.0 + abs(lap))
+            first_refusal = self.REFUSES_FROM.get((phi.label, lam), math.inf)
+            lap = phi_exp_laplace_curve(phi, lam, kt.grid.nodes[idx])
+            for i, ref in zip(idx, lap):
+                if i >= first_refusal:
+                    with pytest.raises((CancellationError, TruncationError)):
+                        phi_exp_series(cp, lam, i)
+                else:
+                    val = phi_exp_series(cp, lam, i)
+                    assert abs(val - ref) <= 1e-3 * (1.0 + abs(ref))
 
 
 class TestEigenResidual:
