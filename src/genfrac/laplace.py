@@ -120,7 +120,9 @@ def invert_grid(transform, ts, cfg: InversionConfig = DEFAULT_CONFIG) -> np.ndar
     if cfg.method == "gaver-stehfest":
         z = (_LN2 / ts)[:, None] * np.arange(1, cfg.order + 1)[None, :]
         vals = _transform_values(fn, z, float)
-        out = (_LN2 / ts) * (vals @ _gs_weights(cfg.order))
+        # a row-wise sum keeps each time's summation order fixed; a BLAS
+        # product reorders it with the row count, and the weights reach 3.6e9
+        out = (_LN2 / ts) * (vals * _gs_weights(cfg.order)).sum(axis=1)
     else:
         nodes = cfg.nodes
         theta = np.arange(1, nodes) * np.pi / nodes

@@ -10,11 +10,20 @@ series and the Laplace machinery.
 Reproducibility: every path owns a counter-based stream keyed by
 (seed, path index), and reductions use numpy's fixed pairwise order, so
 results are bit-identical for a given seed regardless of call order.
+
+Shared draw: the paths of the last (config, targets) pair are kept, one
+draw only, so the estimators of one config read the same paths instead of
+redrawing them.  A repeat is bit-identical to a fresh draw, since a miss
+runs the same per-path loop.  The kept array is read-only and callers of
+:func:`sample_inverse_values` receive a copy, so writing to a returned
+array changes no later result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,6 +59,10 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.phi.kind not in ("stable", "tempered"):
             raise ValueError("samplers exist for stable and tempered kinds only")
         if self.n_paths < 100:
@@ -147,7 +160,9 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
     """L(t) for every path and every target level; shape (n_paths, n_targets).
 
     Paths are extended blockwise until they pass the largest target, up to
-    a hard cap on the operational steps.
+    a hard cap on the operational steps.  The last draw is kept: a repeat
+    with an equal config and the same targets returns a copy of it, bit
+    for bit what a fresh draw would give.
     """
     targets = np.asarray(t_targets, dtype=float)
     if targets.size == 0:
@@ -155,6 +170,15 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
     bad = targets[~((targets >= 0) & (targets <= cfg.t_max))]
     if bad.size:
         raise ValueError(f"target {bad[0]} does not lie in [0, t_max={cfg.t_max}]")
+    return _inverse_values(cfg, tuple(targets.ravel().tolist())).copy()
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_values(cfg: McConfig, target_key: tuple) -> np.ndarray:
+    """The first-passage draw behind :func:`sample_inverse_values`, read-only
+    and memoized on (cfg, target_key) so that every estimate of one config
+    reads the same paths without redrawing them."""
+    targets = np.array(target_key)
     t_top = float(targets.max())
     out = np.empty((cfg.n_paths, targets.size))
     for i in range(cfg.n_paths):
@@ -174,6 +198,7 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
             steps += block
             block = min(2 * block, 65536)
         out[i] = inverse_passage(np.concatenate(chunks), targets, cfg.dt)
+    out.flags.writeable = False
     return out
 
 

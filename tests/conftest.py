@@ -1,5 +1,7 @@
 """Shared fixtures: kernel tables and convolution powers are expensive at
-N=4096, so they are built once per session and reused."""
+N=4096, so they are built once per session and reused.  The Monte Carlo
+layer's kept draw is cleared before every test, so that no test reads the
+paths another test drew."""
 
 import pytest
 
@@ -9,6 +11,7 @@ from genfrac import (
     build_kernel_table,
     convolution_powers,
 )
+from genfrac.mc import _inverse_values
 
 # High-precision reference values (50-digit offline series evaluation),
 # frozen here so the tests need no arbitrary-precision dependency.
@@ -29,6 +32,11 @@ GAMMA_1_5 = 0.88622692545275801365
 INV_GAMMA_1_5 = 1.1283791670955125739
 INV_GAMMA_0_5 = 0.56418958354775628695
 INV_GAMMA_2_5 = 0.75225277806367504926
+
+
+@pytest.fixture(autouse=True)
+def fresh_mc_draw():
+    _inverse_values.cache_clear()
 
 
 @pytest.fixture(scope="session")

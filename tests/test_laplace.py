@@ -11,6 +11,7 @@ from genfrac import (
     abscissa_for_eigen,
     invert_grid,
     parse_ilt_spec,
+    phi_exp_laplace_curve,
 )
 
 from conftest import INV_GAMMA_1_5, ML_ORACLE
@@ -91,6 +92,17 @@ class TestMethodAgreement:
         assert invert_grid(
             lambda z: 1.0 / (cmath.sqrt(z) * z), [1.0], TALBOT
         ) == pytest.approx([INV_GAMMA_1_5], abs=1e-8)
+
+
+class TestTimesAreIndependent:
+    @pytest.mark.parametrize("spec", ["gs:16", "talbot:32"])
+    @pytest.mark.parametrize("lam", [-1.0, 1.0])
+    def test_a_time_alone_equals_it_inside_an_array(self, stable_half, spec, lam):
+        # each time is one row summed in a fixed order, whatever the row count
+        cfg = parse_ilt_spec(spec)
+        alone = phi_exp_laplace_curve(stable_half, lam, [0.7], cfg)[0]
+        for ts in ([0.3, 0.7, 1.0], np.r_[0.3, 0.7, np.linspace(0.01, 1.0, 100)]):
+            assert phi_exp_laplace_curve(stable_half, lam, ts, cfg)[1] == alone
 
 
 class TestAbscissa:

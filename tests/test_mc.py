@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from genfrac import (
+    BernsteinFunction,
     ConditioningWarning,
     McConfig,
     NumericalError,
@@ -18,7 +20,8 @@ from genfrac import (
     sample_tempered_increment,
     tail_bound_check,
 )
-from genfrac.mc import _path_rng
+from genfrac import mc
+from genfrac.mc import _inverse_values, _path_rng
 
 from conftest import INV_GAMMA_1_5, ML_ORACLE
 
@@ -31,6 +34,19 @@ def stable_cfg(stable_half):
 @pytest.fixture(scope="module")
 def inverse_samples(stable_cfg):
     return sample_inverse_values(stable_cfg, [0.25, 0.5, 1.0])
+
+
+@pytest.fixture
+def path_streams(monkeypatch):
+    """Indices of the per-path streams opened, one per path drawn."""
+    opened = []
+
+    def counting(seed, index):
+        opened.append(index)
+        return _path_rng(seed, index)
+
+    monkeypatch.setattr(mc, "_path_rng", counting)
+    return opened
 
 
 class TestStableSampler:
@@ -176,6 +192,7 @@ class TestEstimates:
     def test_determinism(self, stable_half):
         cfg = McConfig(phi=stable_half, n_paths=500, dt=2e-3, t_max=0.5, seed=99)
         a = estimate_phi_exp_mc(cfg, -1.0, 0.5)
+        _inverse_values.cache_clear()  # compare two fresh draws, not the kept one
         b = estimate_phi_exp_mc(cfg, -1.0, 0.5)
         assert a.value == b.value and a.std_error == b.std_error
 
@@ -185,6 +202,67 @@ class TestEstimates:
             ref = cp_stable_512.u_star[k, -1]
             bias = 2.0 * k * stable_cfg.dt
             assert abs(ests[k].value - ref) <= 3 * ests[k].std_error + bias
+
+
+class TestSharedDraw:
+    @pytest.mark.parametrize("spec", ["stable_half", "tempered_half"])
+    def test_hit_equals_a_fresh_draw(self, spec, request, path_streams):
+        cfg = McConfig(phi=request.getfixturevalue(spec), n_paths=200, dt=1e-3, t_max=1.0, seed=8)
+        sample_inverse_values(cfg, [0.5, 1.0])
+        hit = sample_inverse_values(cfg, [0.5, 1.0])
+        assert len(path_streams) == 200
+        _inverse_values.cache_clear()
+        fresh = sample_inverse_values(cfg, [0.5, 1.0])
+        assert len(path_streams) == 400
+        assert hit.tobytes() == fresh.tobytes()
+
+    def test_writing_to_a_returned_array_changes_no_later_result(self, stable_half):
+        cfg = McConfig(phi=stable_half, n_paths=200, dt=1e-3, t_max=1.0, seed=8)
+        first = sample_inverse_values(cfg, [1.0])
+        kept = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(sample_inverse_values(cfg, [1.0]), kept)
+        assert estimate_potential_mc(cfg, 1.0).value == float(np.mean(kept[:, 0]))
+
+    @pytest.mark.parametrize(
+        "change, targets",
+        [
+            ({"seed": 9}, [1.0]),
+            ({"n_paths": 201}, [1.0]),
+            ({"dt": 2e-3}, [1.0]),
+            ({"phi": BernsteinFunction.tempered(0.5, 1.0)}, [1.0]),
+            ({}, [0.5]),
+            ({}, [1.0, 0.5]),
+        ],
+    )
+    def test_another_key_draws_again(self, stable_half, path_streams, change, targets):
+        cfg = McConfig(phi=stable_half, n_paths=200, dt=1e-3, t_max=1.0, seed=8)
+        sample_inverse_values(cfg, [1.0])
+        other = dataclasses.replace(cfg, **change)
+        sample_inverse_values(other, targets)
+        assert len(path_streams) == 200 + other.n_paths
+
+    def test_one_draw_serves_every_estimate(self, stable_half, path_streams):
+        # the c06 sequence: a direct draw, the moments, e(1; -1), e(1; 1)
+        # and the tail check, each equal to its answer from a fresh draw
+        cfg = McConfig(phi=stable_half, n_paths=200, dt=1e-3, t_max=1.0, seed=2026)
+        calls = [
+            lambda: sample_inverse_values(cfg, [1.0]),
+            lambda: estimate_moments(cfg, 1.0, 2),
+            lambda: estimate_phi_exp_mc(cfg, -1.0, 1.0),
+            lambda: estimate_phi_exp_mc(cfg, 1.0, 1.0),
+            lambda: tail_bound_check(cfg, 1.0, [1.0, 2.0, 3.0], x=4.0),
+        ]
+        shared = [call() for call in calls]
+        assert len(path_streams) == 200
+        for call, got in zip(calls, shared):
+            _inverse_values.cache_clear()
+            fresh = call()
+            if isinstance(got, np.ndarray):
+                assert got.tobytes() == fresh.tobytes()
+            else:
+                assert got == fresh
+        assert len(path_streams) == 200 * (1 + len(calls))
 
 
 class TestChecks:
@@ -227,6 +305,17 @@ class TestConfig:
             McConfig(phi=stable_half, n_paths=1000, dt=0.5, t_max=1.0, seed=0)
         with pytest.raises(ValueError):
             McConfig(phi=mixture_phi, n_paths=1000, dt=1e-3, t_max=1.0, seed=0)
+        for field, bad in [
+            ("seed", 7.9),
+            ("seed", math.nan),
+            ("seed", 7.0),
+            ("n_paths", 150.5),
+            ("n_paths", math.inf),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                McConfig(phi=stable_half, dt=1e-3, t_max=1.0, **{"n_paths": 1000, field: bad})
+        cfg = McConfig(phi=stable_half, n_paths=np.int64(150), dt=1e-3, t_max=1.0, seed=np.uint32(7))
+        assert sample_inverse_values(cfg, [1.0]).shape == (150, 1)
 
     def test_targets_validated(self, stable_cfg):
         with pytest.raises(ValueError):

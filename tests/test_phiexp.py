@@ -244,7 +244,7 @@ class TestSeriesRoute:
         [
             ("stable:0.5", -1.0, 32),
             ("stable:0.5", 1.0, 28),
-            ("tempered:0.5,1", -1.0, 113),
+            ("tempered:0.5,1", -1.0, 114),
             ("tempered:0.5,1", 1.0, 107),
             ("mixture:0.3@0.4+0.7@0.8", -1.0, 24),
             ("mixture:0.3@0.4+0.7@0.8", 1.0, 21),
