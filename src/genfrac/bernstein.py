@@ -20,9 +20,6 @@ from scipy.special import gamma as _gamma, gammainc, gammaincc
 
 __all__ = [
     "BernsteinFunction",
-    "eval_phi",
-    "eval_conjugate",
-    "levy_tail",
     "validate_bernstein",
     "ValidationReport",
     "parse_phi_spec",
@@ -37,7 +34,9 @@ class BernsteinFunction:
 
     Use the constructors :meth:`stable`, :meth:`tempered`, :meth:`mixture`
     or :meth:`custom`; the bare dataclass constructor performs no
-    parameter derivation.
+    parameter derivation.  Every construction, ``dataclasses.replace``
+    included, checks the envelope data: 0 < beta < 1, 0 < c_assump < inf
+    and t0 > 0 (t0 = inf for an envelope that holds on all of (0, inf)).
     """
 
     kind: str
@@ -54,6 +53,14 @@ class BernsteinFunction:
     t0: float = 1.0
     levy_mass_infinite: bool = True
     label: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        if not 0 < self.beta < 1:
+            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
+        if not 0 < self.c_assump < math.inf:
+            raise ValueError(f"c_assump must be positive and finite, got {self.c_assump}")
+        if not self.t0 > 0:
+            raise ValueError(f"t0 must be positive, got {self.t0}")
 
     # -- constructors -----------------------------------------------------
 
@@ -74,8 +81,8 @@ class BernsteinFunction:
     def tempered(cls, alpha: float, theta: float) -> "BernsteinFunction":
         """phi(lam) = (lam + theta)**alpha - theta**alpha."""
         _check_alpha(alpha)
-        if not theta > 0:
-            raise ValueError(f"theta must be positive, got {theta}")
+        if not 0 < theta < math.inf:
+            raise ValueError(f"theta must be positive and finite, got {theta}")
         t0 = min(1.0, 1.0 / theta)
         return cls(
             kind="tempered",
@@ -94,8 +101,8 @@ class BernsteinFunction:
         alphas = tuple(float(a) for a in alphas)
         if len(weights) != len(alphas) or not weights:
             raise ValueError("weights and alphas must be equal-length, non-empty")
-        if any(w <= 0 for w in weights):
-            raise ValueError("mixture weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError(f"mixture weights must be positive and finite, got {weights}")
         for a in alphas:
             _check_alpha(a)
         # Near t=0 the largest exponent dominates the kernel.
@@ -124,10 +131,6 @@ class BernsteinFunction:
     ) -> "BernsteinFunction":
         """Wrap user callables; the envelope data (beta, c_assump, t0) is a
         caller contract and is only spot-checked, never inferred."""
-        if not 0 < beta < 1:
-            raise ValueError(f"beta must lie in (0,1), got {beta}")
-        if not c_assump > 0 or not t0 > 0:
-            raise ValueError("c_assump and t0 must be positive")
         obj = cls(
             kind="custom",
             phi_fn=phi_eval,
@@ -146,8 +149,7 @@ class BernsteinFunction:
     def phi(self, lam):
         """Evaluate phi; accepts scalars or arrays, real or complex.
 
-        No domain validation here (hot path); use :func:`eval_phi` for the
-        checked scalar entry point.
+        No domain validation here (hot path).
         """
         if self.kind == "stable":
             return lam ** self.alpha
@@ -255,33 +257,6 @@ def _spot_check_monotone(phi: BernsteinFunction, n: int = 40) -> None:
         raise ValueError("custom phi takes negative values on the test grid")
     if np.any(np.diff(vals) < -1e-10 * (1.0 + np.abs(vals[:-1]))):
         raise ValueError("custom phi is not nondecreasing on the test grid")
-
-
-# -- checked scalar operations --------------------------------------------
-
-
-def eval_phi(phi: BernsteinFunction, lam: float) -> float:
-    """phi(lam) for scalar lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    return float(phi.phi(lam))
-
-
-def eval_conjugate(phi: BernsteinFunction, lam: float) -> float:
-    """lam / phi(lam) for scalar lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    val = float(phi.phi(lam))
-    if val == 0.0:
-        raise ZeroDivisionError(f"phi({lam}) = 0, conjugate undefined")
-    return lam / val
-
-
-def levy_tail(phi: BernsteinFunction, t: float) -> float:
-    """Jump-tail mass nubar(t) for scalar t > 0."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return float(phi.levy_tail(t))
 
 
 # -- finite-difference sign validation -------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 __all__ = ["Grid", "GridFunction"]
@@ -15,6 +17,8 @@ class Grid:
     def __init__(self, horizon: float, cells: int):
         if not 0 < horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        if not isinstance(cells, Integral):
+            raise ValueError(f"cells must be an integer, got {cells!r}")
         if cells < 1:
             raise ValueError(f"need at least one cell, got {cells}")
         self.horizon = float(horizon)

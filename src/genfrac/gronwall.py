@@ -378,6 +378,33 @@ def _eigen_curve(kt: KernelTable, cp: ConvolutionPowers, lam: float, m: int) -> 
     return _series(cp, lam, 0, m + 1)
 
 
+def _perturbation_report(problem, perturb, kt, cp, R, m, lam, deltas, bound) -> ContinuityReport:
+    """Solve ``problem`` and ``perturb(delta)`` for every delta on nodes
+    0..m and compare the nodewise deviations with ``bound(|delta|, e)``,
+    e = e(t_i; lam) for i = 0..m, plus the quadrature and Picard allowances."""
+    e_curve = _eigen_curve(kt, cp, lam, m)
+    base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
+    rows = []
+    for delta in deltas:
+        dvec = np.atleast_1d(np.asarray(delta, dtype=float))
+        dnorm = float(np.linalg.norm(dvec))
+        sol, _ = picard_solve(perturb(dvec), kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
+        deviation = np.linalg.norm(sol.values - base.values, axis=1)
+        allowed = bound(dnorm, e_curve) * (1.0 + _CONTINUITY_SLACK) + 2.0 * _CONTINUITY_TOL
+        worst = float(deviation.max())
+        rows.append(
+            {
+                "delta": dnorm,
+                "deviation": worst,
+                "bound": float(np.max(allowed)),
+                "ratio": worst / dnorm if dnorm > 0 else 0.0,
+                "ok": bool(np.all(deviation <= allowed)),
+            }
+        )
+    ok = all(row["ok"] for row in rows)
+    return ContinuityReport(rows, float(e_curve[-1]), float(kt.grid.nodes[m]), ok)
+
+
 def continuity_experiment_initial(
     problem: IvpProblem,
     kt: KernelTable,
@@ -392,36 +419,17 @@ def continuity_experiment_initial(
     horizon serves every run (the ball radius 1 matches the enlarged
     local-bound radius R + 1 + |f0| used to select it).
     """
-    f0 = problem.f0
-    r_tilde = R + 1.0 + float(np.linalg.norm(f0))
+    deltas = [np.atleast_1d(np.asarray(delta, dtype=float)) for delta in deltas]
+    if any(np.linalg.norm(dvec) > 1.0 for dvec in deltas):
+        raise ValueError("perturbations must stay inside the unit ball")
+    r_tilde = R + 1.0 + float(np.linalg.norm(problem.f0))
     m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
     L = float(problem.lip_l(r_tilde))
-    factor = float(_eigen_curve(kt, cp, L, m)[-1])
-    base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
 
-    rows = []
-    all_ok = True
-    for delta in deltas:
-        dvec = np.atleast_1d(np.asarray(delta, dtype=float))
-        dnorm = float(np.linalg.norm(dvec))
-        if dnorm > 1.0:
-            raise ValueError("perturbations must stay inside the unit ball")
-        pert = replace(problem, f0=f0 + dvec)
-        sol, _ = picard_solve(pert, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-        deviation = float(np.linalg.norm(sol.values - base.values, axis=1).max())
-        bound = dnorm * factor * (1.0 + _CONTINUITY_SLACK) + 2.0 * _CONTINUITY_TOL
-        ok = deviation <= bound
-        all_ok &= ok
-        rows.append(
-            {
-                "delta": dnorm,
-                "deviation": deviation,
-                "bound": bound,
-                "ratio": deviation / dnorm if dnorm > 0 else 0.0,
-                "ok": ok,
-            }
-        )
-    return ContinuityReport(rows=rows, bound_factor=factor, t_prime=float(kt.grid.nodes[m]), ok=all_ok)
+    def perturb(dvec):
+        return replace(problem, f0=problem.f0 + dvec)
+
+    return _perturbation_report(problem, perturb, kt, cp, R, m, L, deltas, lambda d, e: d * e[-1])
 
 
 @dataclass
@@ -451,36 +459,14 @@ def continuity_experiment_parameter(
     """Perturb the parameter and compare nodewise deviations with
     lip_param * |dv| * U(t) * e(t; lip_state)."""
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    base_problem = family.make(v0)
-    sel = select_horizon(base_problem, kt, R)
-    m = sel.index
-    e_curve = _eigen_curve(kt, cp, family.lip_state, m)
-    base, _ = picard_solve(base_problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-    envelope = kt.U_node[: m + 1] * e_curve
+    problem = family.make(v0)
+    m = select_horizon(problem, kt, R).index
+    U = kt.U_node[: m + 1]
 
-    rows = []
-    all_ok = True
-    for delta in deltas:
-        dvec = np.atleast_1d(np.asarray(delta, dtype=float))
-        dnorm = float(np.linalg.norm(dvec))
-        sol, _ = picard_solve(family.make(v0 + dvec), kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
-        deviation = np.linalg.norm(sol.values - base.values, axis=1)
-        bound = (
-            family.lip_param * dnorm * envelope * (1.0 + _CONTINUITY_SLACK) + 2.0 * _CONTINUITY_TOL
-        )
-        ok = bool(np.all(deviation <= bound))
-        all_ok &= ok
-        rows.append(
-            {
-                "delta": dnorm,
-                "deviation": float(deviation.max()),
-                "bound": float(bound.max()),
-                "ok": ok,
-            }
-        )
-    return ContinuityReport(
-        rows=rows,
-        bound_factor=float(e_curve[-1]),
-        t_prime=float(kt.grid.nodes[m]),
-        ok=all_ok,
-    )
+    def perturb(dvec):
+        return family.make(v0 + dvec)
+
+    def bound(dnorm, e):
+        return family.lip_param * dnorm * (U * e)
+
+    return _perturbation_report(problem, perturb, kt, cp, R, m, family.lip_state, deltas, bound)

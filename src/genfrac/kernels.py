@@ -395,12 +395,22 @@ def kernel_table_to_csv(kt: KernelTable, path) -> None:
 
 
 def kernel_table_from_csv(path) -> KernelTable:
+    """Read a table written by :func:`kernel_table_to_csv`; a missing
+    parameter, a missing column or a table of fewer than two rows raises
+    ValueError naming what is missing."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError("kernel CSV must start with a parameter comment line")
         params = dict(tok.split("=") for tok in header[1:].split())
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [key for key in ("beta", "c_assump", "c_fit", "c_env_U") if key not in params]
+    missing += [key for key in _CSV_FIELDS if key not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"kernel CSV lacks the parameters or columns {missing}")
+    if len(rows) < 2:
+        raise ValueError(f"kernel CSV needs at least two node rows, has {len(rows)}")
     n = len(rows) - 1
     t = np.array([float(r["t"]) for r in rows])
     grid = Grid(t[-1], n)

@@ -49,47 +49,8 @@ class RhsSpec:
     label: str
 
 
-def rhs_zero(dim: int = 1) -> RhsSpec:
-    return RhsSpec(
-        fn=lambda ts, ys: np.zeros_like(ys),
-        dim=dim,
-        c_bound=lambda R: 0.0,
-        lip_l=lambda R: 0.0,
-        label="zero",
-    )
-
-
-def rhs_constant(xi) -> RhsSpec:
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    mag = float(np.linalg.norm(xi))
-    return RhsSpec(
-        fn=lambda ts, ys: np.tile(xi, (ys.shape[0], 1)),
-        dim=xi.shape[0],
-        c_bound=lambda R: mag,
-        lip_l=lambda R: 0.0,
-        label="constant",
-    )
-
-
-def rhs_linear(matrix) -> RhsSpec:
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("linear rhs needs a square matrix")
-    norm = float(np.linalg.norm(M, 2))
-    return RhsSpec(
-        fn=lambda ts, ys: ys @ M.T,
-        dim=M.shape[0],
-        c_bound=lambda R: norm * R,
-        lip_l=lambda R: norm,
-        label="linear",
-    )
-
-
-def rhs_affine(matrix, xi) -> RhsSpec:
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if M.shape != (xi.shape[0], xi.shape[0]):
-        raise ValueError("affine rhs needs matching matrix and xi shapes")
+def _affine(M: np.ndarray, xi: np.ndarray, label: str) -> RhsSpec:
+    """F(y) = M y + xi, with |F| <= |xi| + |M|_2 R and Lipschitz |M|_2 on B_R."""
     norm = float(np.linalg.norm(M, 2))
     mag = float(np.linalg.norm(xi))
     return RhsSpec(
@@ -97,8 +58,32 @@ def rhs_affine(matrix, xi) -> RhsSpec:
         dim=xi.shape[0],
         c_bound=lambda R: mag + norm * R,
         lip_l=lambda R: norm,
-        label="affine",
+        label=label,
     )
+
+
+def rhs_zero(dim: int = 1) -> RhsSpec:
+    return _affine(np.zeros((dim, dim)), np.zeros(dim), "zero")
+
+
+def rhs_constant(xi) -> RhsSpec:
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return _affine(np.zeros((xi.shape[0], xi.shape[0])), xi, "constant")
+
+
+def rhs_linear(matrix) -> RhsSpec:
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if M.shape[0] != M.shape[1]:
+        raise ValueError("linear rhs needs a square matrix")
+    return _affine(M, np.zeros(M.shape[0]), "linear")
+
+
+def rhs_affine(matrix, xi) -> RhsSpec:
+    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if M.shape != (xi.shape[0], xi.shape[0]):
+        raise ValueError("affine rhs needs matching matrix and xi shapes")
+    return _affine(M, xi, "affine")
 
 
 def rhs_logistic(rate: float) -> RhsSpec:

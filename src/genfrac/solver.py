@@ -39,7 +39,6 @@ __all__ = [
     "verify_holder",
     "HolderReport",
     "neumann_affine_solve",
-    "estimate_lipschitz",
 ]
 
 
@@ -78,7 +77,6 @@ class IvpProblem:
 class PicardState:
     """Diagnostics of one Picard run (possibly one continuation segment)."""
 
-    iterate: GridFunction
     iteration_count: int
     bielecki_tau: float
     successive_norms: List[float]
@@ -102,8 +100,8 @@ def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float) -> int:
     U is nondecreasing, so the admissible nodes form a prefix and every
     node up to m satisfies the inequality as well.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < np.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     c = float(bound_c(radius))
     if c < 0:
         raise ValueError("bound_c must be nonnegative")
@@ -156,21 +154,6 @@ def _theoretical_contraction(kt: KernelTable, L: float, t_prime: float, tau: flo
     return d * (p_conj * tau) ** (-1.0 / p_conj)
 
 
-def _initial_values(problem: IvpProblem, m: int, initial, R: float) -> np.ndarray:
-    if initial is None:
-        return np.tile(problem.f0, (m + 1, 1))
-    init = np.atleast_1d(np.asarray(initial, dtype=float))
-    if init.shape == (problem.dim,):
-        if np.linalg.norm(init - problem.f0) > R * (1 + 1e-12):
-            raise ValueError("initial iterate must start inside B_R(f0)")
-        return np.tile(init, (m + 1, 1))
-    if init.shape == (m + 1, problem.dim):
-        return init.copy()
-    raise ValueError(
-        f"initial must be a d-vector or an array of shape ({m + 1}, {problem.dim})"
-    )
-
-
 def _solve_segment(
     problem: IvpProblem,
     kt: KernelTable,
@@ -189,12 +172,17 @@ def _solve_segment(
     from ``start`` (values at nodes mp..m), stays in the ball of radius R
     around f(t_mp).  Returns (solution on nodes 0..m, state).
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < np.inf:
+        raise ValueError(f"R must be positive and finite, got {R}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if problem.horizon != kt.grid.horizon:
+        raise ValueError(
+            f"problem horizon {problem.horizon:g} differs from the kernel table's "
+            f"grid horizon {kt.grid.horizon:g}"
+        )
     mp = len(prior) - 1
     k = m - mp
     h = kt.grid.step
@@ -251,7 +239,6 @@ def _solve_segment(
     residual = float(np.linalg.norm(sweep(f) - f, axis=1).max())
     sol = GridFunction(kt.grid.prefix(m), np.concatenate((prior[:-1], f)))
     state = PicardState(
-        iterate=sol,
         iteration_count=it,
         bielecki_tau=tau,
         successive_norms=norms,
@@ -279,7 +266,8 @@ def picard_solve(
     the horizon of :func:`select_horizon` unless ``horizon_index`` forces
     one.  The right-hand side is evaluated at cell midpoints on linearly
     interpolated iterate values, matching the trapezoid product
-    integration of the memory kernel.
+    integration of the memory kernel.  ``initial``, a d-vector in B_R(f0),
+    replaces f0 as the constant starting iterate.
     """
     if horizon_index is None:
         m = select_horizon(problem, kt, R).index
@@ -287,7 +275,15 @@ def picard_solve(
         m = int(horizon_index)
         if not 1 <= m <= kt.grid.cells:
             raise ValueError(f"horizon_index must lie in 1..{kt.grid.cells}")
-    start = _initial_values(problem, m, initial, R)
+    if initial is None:
+        start = np.tile(problem.f0, (m + 1, 1))
+    else:
+        init = np.atleast_1d(np.asarray(initial, dtype=float))
+        if init.shape != (problem.dim,):
+            raise ValueError(f"initial must be a vector of length {problem.dim}")
+        if np.linalg.norm(init - problem.f0) > R * (1 + 1e-12):
+            raise ValueError("initial iterate must start inside B_R(f0)")
+        start = np.tile(init, (m + 1, 1))
     return _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
 
 
@@ -392,24 +388,3 @@ def neumann_affine_solve(kt: KernelTable, linmap, xi, f0) -> GridFunction:
     with np.errstate(invalid="ignore", over="ignore"):  # the solve refuses a non-finite b
         b = f0[None, :] + kt.U_node[:, None] * xi[None, :]
     return GridFunction(kt.grid, _resolvent_solve(kt.u_cell, b, M))
-
-
-def estimate_lipschitz(rhs: Callable, dim: int, R: float, horizon: float) -> float:
-    """Heuristic state-Lipschitz estimate by 256 sampled difference
-    quotients from a fixed seed.
-
-    This is a sampling lower bound, not a certified constant: pad it
-    before feeding solver metadata.
-    """
-    rng = np.random.default_rng(0)
-    best = 0.0
-    for _ in range(256):
-        t = float(rng.uniform(0.0, horizon))
-        x = rng.uniform(-R, R, size=dim)
-        y = x + rng.normal(scale=1e-4 * max(R, 1.0), size=dim)
-        dx = float(np.linalg.norm(x - y))
-        if dx == 0.0:
-            continue
-        q = float(np.linalg.norm(np.asarray(rhs(t, x)) - np.asarray(rhs(t, y)))) / dx
-        best = max(best, q)
-    return best

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from genfrac import (
     BernsteinFunction,
     InversionConfig,
-    eval_conjugate,
-    eval_phi,
     invert_grid,
-    levy_tail,
     load_phi_config,
     parse_phi_spec,
     validate_bernstein,
@@ -22,25 +19,19 @@ from conftest import INV_GAMMA_0_5
 
 class TestEvalPhi:
     def test_stable_value(self):
-        assert eval_phi(BernsteinFunction.stable(0.5), 4.0) == pytest.approx(2.0)
+        assert BernsteinFunction.stable(0.5).phi(4.0) == pytest.approx(2.0)
 
     def test_tempered_value(self):
         phi = BernsteinFunction.tempered(0.5, 1.0)
-        assert eval_phi(phi, 3.0) == pytest.approx(1.0)
+        assert phi.phi(3.0) == pytest.approx(1.0)
 
     def test_small_argument(self):
-        assert eval_phi(BernsteinFunction.stable(0.5), 1e-12) == pytest.approx(1e-6)
+        assert BernsteinFunction.stable(0.5).phi(1e-12) == pytest.approx(1e-6)
 
     def test_mixture_value(self):
         phi = BernsteinFunction.mixture([0.3, 0.7], [0.4, 0.8])
         expected = 0.3 * 2.0 ** 0.4 + 0.7 * 2.0 ** 0.8
-        assert eval_phi(phi, 2.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            eval_phi(BernsteinFunction.stable(0.5), 0.0)
-        with pytest.raises(ValueError):
-            eval_phi(BernsteinFunction.stable(0.5), -1.0)
+        assert phi.phi(2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_custom_delegates(self):
         phi = BernsteinFunction.custom(
@@ -50,36 +41,14 @@ class TestEvalPhi:
             c_assump=2.0,
             t0=1.0,
         )
-        assert eval_phi(phi, 2.0) == pytest.approx(1.0 - math.exp(-2.0))
-
-
-class TestConjugate:
-    def test_stable(self):
-        phi = BernsteinFunction.stable(0.5)
-        assert eval_conjugate(phi, 4.0) == pytest.approx(2.0)
-        assert eval_conjugate(phi, 1.0) == pytest.approx(1.0)
-
-    def test_tempered(self):
-        phi = BernsteinFunction.tempered(0.5, 1.0)
-        assert eval_conjugate(phi, 3.0) == pytest.approx(3.0)
-
-    @given(
-        alpha=st.floats(0.1, 0.9),
-        lam=st.floats(1e-6, 1e6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_conjugate_identity(self, alpha, lam):
-        phi = BernsteinFunction.stable(alpha)
-        assert eval_phi(phi, lam) * eval_conjugate(phi, lam) == pytest.approx(
-            lam, rel=1e-12
-        )
+        assert phi.phi(2.0) == pytest.approx(1.0 - math.exp(-2.0))
 
 
 class TestLevyTail:
     def test_stable_closed_form(self):
         phi = BernsteinFunction.stable(0.5)
-        assert levy_tail(phi, 1.0) == pytest.approx(INV_GAMMA_0_5, rel=1e-12)
-        assert levy_tail(phi, 4.0) == pytest.approx(INV_GAMMA_0_5 / 2.0, rel=1e-12)
+        assert phi.levy_tail(1.0) == pytest.approx(INV_GAMMA_0_5, rel=1e-12)
+        assert phi.levy_tail(4.0) == pytest.approx(INV_GAMMA_0_5 / 2.0, rel=1e-12)
 
     def test_stable_vs_inversion(self):
         # independent route: invert phi(z)/z numerically
@@ -87,21 +56,21 @@ class TestLevyTail:
         ts = [0.25, 1.0, 3.0]
         numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
         for t, val in zip(ts, numeric):
-            assert val == pytest.approx(levy_tail(phi, t), rel=1e-5)
+            assert val == pytest.approx(phi.levy_tail(t), rel=1e-5)
 
     def test_tempered_vs_inversion(self):
         phi = BernsteinFunction.tempered(0.5, 1.0)
         ts = [0.1, 0.5, 2.0]
         numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
         for t, val in zip(ts, numeric):
-            assert val == pytest.approx(levy_tail(phi, t), rel=2e-5)
+            assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
 
     def test_mixture_vs_inversion(self):
         phi = BernsteinFunction.mixture([0.3, 0.7], [0.4, 0.8])
         ts = [0.1, 1.0]
         numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
         for t, val in zip(ts, numeric):
-            assert val == pytest.approx(levy_tail(phi, t), rel=2e-5)
+            assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
 
     def test_tail_decreases_to_zero(self, catalog_phis):
         grid = np.logspace(-2, 4, 60)
@@ -109,10 +78,6 @@ class TestLevyTail:
             vals = phi.levy_tail(grid)
             assert np.all((np.diff(vals) < 0) | (vals[1:] == 0.0))
             assert vals[-1] < 1e-2 * vals[0]
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            levy_tail(BernsteinFunction.stable(0.5), 0.0)
 
 
 class TestValidate:
@@ -182,6 +147,21 @@ class TestStructure:
         assert BernsteinFunction.stable(0.3).beta == 0.3
         assert BernsteinFunction.tempered(0.7, 2.0).beta == 0.7
 
+    @pytest.mark.parametrize(
+        "beta, c_assump, t0",
+        [(1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, math.inf, 1.0),
+         (0.5, 1.0, 0.0)],
+    )
+    def test_custom_envelope_checked(self, beta, c_assump, t0):
+        with pytest.raises(ValueError):
+            BernsteinFunction.custom(
+                phi_eval=lambda lam: lam ** 0.5,
+                levy_tail=lambda t: 0.0,
+                beta=beta,
+                c_assump=c_assump,
+                t0=t0,
+            )
+
     def test_custom_requires_monotone(self):
         with pytest.raises(ValueError):
             BernsteinFunction.custom(
@@ -216,6 +196,20 @@ class TestTextInterfaces:
         path.write_text("# catalog entry\nkind = tempered\nalpha = 0.5\ntheta = 1.0\nt0 = 0.5\n")
         phi = load_phi_config(path)
         assert phi.kind == "tempered" and phi.t0 == 0.5
+
+    @pytest.mark.parametrize(
+        "spec", ["mixture:inf@0.5", "mixture:nan@0.5", "mixture:1@0.5+nan@0.3", "tempered:0.5,inf"]
+    )
+    def test_parse_refuses_non_finite_parameters(self, spec):
+        with pytest.raises(ValueError, match="positive and finite"):
+            parse_phi_spec(spec)
+
+    @pytest.mark.parametrize("override", ["beta = nan", "beta = 1.5", "c_assump = -1"])
+    def test_config_overrides_are_checked(self, tmp_path, override):
+        path = tmp_path / "phi.cfg"
+        path.write_text(f"kind = stable\nalpha = 0.5\n{override}\n")
+        with pytest.raises(ValueError, match=override.partition(" ")[0]):
+            load_phi_config(path)
 
     def test_config_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "phi.cfg"

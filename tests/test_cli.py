@@ -321,6 +321,24 @@ class TestPhiSources:
         err = capsys.readouterr().err
         assert "usage error" in err and f"missing required key: '{missing}'" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["mixture:inf@0.5", "mixture:nan@0.5", "mixture:1@0.5+nan@0.3", "tempered:0.5,inf"]
+    )
+    def test_non_finite_phi_parameter_is_usage_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "k"
+        assert run(["kernels", "--phi", spec, "--N", "32", "--out", str(out)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "kernels.csv").exists()
+
+    @pytest.mark.parametrize("override", ["beta = nan", "beta = 1.5", "c_assump = -1"])
+    def test_bad_config_override_is_usage_error(self, tmp_path, capsys, override):
+        cfg = tmp_path / "phi.cfg"
+        cfg.write_text(f"kind = stable\nalpha = 0.5\n{override}\n")
+        out = tmp_path / "k"
+        assert run(["kernels", "--phi", f"config:{cfg}", "--N", "32", "--out", str(out)]) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not (out / "kernels.csv").exists()
+
     def test_out_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENFRAC_OUT", str(tmp_path / "envout"))
         assert run(["kernels", "--phi", "stable:0.5", "--T", "1.0", "--N", "32"]) == 0

@@ -20,3 +20,8 @@ class TestGrid:
     def test_needs_a_cell(self):
         with pytest.raises(ValueError, match="at least one cell"):
             Grid(1.0, 0)
+
+    def test_cells_must_be_integral(self):
+        with pytest.raises(ValueError, match="cells must be an integer"):
+            Grid(1.0, 7.9)
+        assert Grid(1.0, np.int64(8)).cells == 8

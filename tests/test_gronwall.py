@@ -418,11 +418,18 @@ class TestContinuity:
         with pytest.raises(ValueError, match="grid mismatch"):
             continuity_experiment_parameter(family, kt, cp, v0=[-1.0], deltas=[0.1], R=2.0)
 
-    def test_initial_rejects_large_delta(self, kt_stable_512, cp_stable_512):
+    def test_initial_rejects_large_delta(self, kt_stable_512, cp_stable_512, monkeypatch):
+        # refused before the first solve
+        import genfrac.gronwall
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before refusing")
+
+        monkeypatch.setattr(genfrac.gronwall, "picard_solve", no_solve)
         problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unit ball"):
             continuity_experiment_initial(
-                problem, kt_stable_512, cp_stable_512, R=2.0, deltas=[1.5]
+                problem, kt_stable_512, cp_stable_512, R=2.0, deltas=[0.1, 1.5]
             )
 
     def test_initial_without_shared_horizon(self, kt_stable_512, cp_stable_512):
@@ -459,6 +466,8 @@ class TestContinuity:
         )
         assert rep.ok
         assert rep.rows[2]["deviation"] <= 1e-10
+        assert rep.rows[0]["ratio"] == rep.rows[0]["deviation"] / 0.1
+        assert rep.rows[2]["ratio"] == 0.0
 
     def test_parameter_factor_is_certified_at_its_own_horizon(self, kt_stable_512):
         # 28 powers certify e(t; 1.5) up to T' = t_178 but not up to T = 1

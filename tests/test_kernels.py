@@ -378,6 +378,25 @@ class TestCsv:
         assert back.beta == kt_tempered_512.beta
         assert back.c_fit == kt_tempered_512.c_fit
 
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda lines: [lines[0].replace(" c_env_U=", " c_env_u=")] + lines[1:],
+             r"lacks the parameters or columns \['c_env_U'\]"),
+            (lambda lines: [lines[0], lines[1].replace(",U,", ",V,")] + lines[2:],
+             r"lacks the parameters or columns \['U'\]"),
+            (lambda lines: lines[:2], "at least two node rows, has 0"),
+        ],
+        ids=["header-key", "column", "no-rows"],
+    )
+    def test_malformed_file_is_value_error(self, kt_stable_512, tmp_path, mangle, message):
+        path = tmp_path / "kernels.csv"
+        kernel_table_to_csv(kt_stable_512, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(mangle(lines)))
+        with pytest.raises(ValueError, match=message):
+            kernel_table_from_csv(path)
+
     def test_rewrite_is_byte_identical(self, kt_stable_512, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         kernel_table_to_csv(kt_stable_512, p1)

@@ -11,7 +11,6 @@ from genfrac import (
     NonconvergenceError,
     NumericalError,
     continue_solution,
-    estimate_lipschitz,
     make_problem,
     mittag_leffler,
     neumann_affine_solve,
@@ -62,6 +61,15 @@ class TestSelectHorizon:
     def test_too_coarse_raises(self, kt_stable_512):
         with pytest.raises(HorizonError):
             select_horizon(bounded_problem(5.0), kt_stable_512, R=1e-6)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_radius_must_be_finite(self, kt_stable_512, radius):
+        # an infinite ball makes the affine bound |xi| + |M| R read 0 * inf
+        problem = make_problem(rhs_zero(1), [1.0], 1.0)
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            solve_to_horizon(problem, kt_stable_512, radius)
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            picard_solve(problem, kt_stable_512, radius, horizon_index=8)
 
 
 class TestBieleckiTau:
@@ -343,9 +351,13 @@ class TestNeumann:
         assert np.abs(pic.values - neu.values).max() <= 1e-12
 
 
-def test_estimate_lipschitz_linear():
-    est = estimate_lipschitz(lambda t, y: -3.0 * y, dim=1, R=2.0, horizon=1.0)
-    assert est == pytest.approx(3.0, rel=1e-3)
+def test_horizon_must_match_the_table(stable_half):
+    from genfrac import Grid, build_kernel_table
+
+    kt = build_kernel_table(stable_half, Grid(1.0, 256))
+    problem = make_problem(rhs_logistic(1.0), [0.4], 2.0)
+    with pytest.raises(ValueError, match="problem horizon 2 differs .* grid horizon 1"):
+        solve_to_horizon(problem, kt, 0.5)
 
 
 class TestSegmentContract:
