@@ -46,12 +46,9 @@ class BernsteinFunction:
     alphas: Optional[tuple] = None
     phi_fn: Optional[Callable] = None
     tail_fn: Optional[Callable] = None
-    a: float = 0.0
-    b: float = 0.0
     beta: float = 0.5
     c_assump: float = 1.0
     t0: float = 1.0
-    levy_mass_infinite: bool = True
     label: str = field(default="", compare=False)
 
     def __post_init__(self):

@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     out_default = os.environ.get("GENFRAC_OUT", ".")
 
-    def common(p, grid=True):
+    def common(p):
         p.add_argument(
             "--phi", required=True,
             help="e.g. stable:0.5, tempered:0.5,1.0, mixture:0.3@0.4+0.7@0.8, "
@@ -345,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ilt", default="gs:16", help="inversion method, gs:ORDER or talbot:NODES")
         p.add_argument("--out", default=out_default,
                        help="output directory (default $GENFRAC_OUT or .)")
-        if grid:
-            p.add_argument("--T", type=float, default=1.0, help="time horizon")
-            p.add_argument("--N", type=int, default=1024, help="grid cells")
+        p.add_argument("--T", type=float, default=1.0, help="time horizon")
+        p.add_argument("--N", type=int, default=1024, help="grid cells")
 
     p = sub.add_parser("catalog", help="list catalog kinds or describe one")
     p.add_argument("--phi", default=None)

@@ -94,3 +94,10 @@ class GridFunction:
 
     def __repr__(self):
         return f"GridFunction(d={self.dim}, {self.grid!r})"
+
+
+def _require_grid(grid: Grid, *functions) -> None:
+    """Refuse with ValueError every argument whose ``grid`` is not ``grid``."""
+    for f in functions:
+        if f.grid != grid:
+            raise ValueError(f"grid mismatch: expected {grid!r}, got {f.grid!r}")

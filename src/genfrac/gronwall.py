@@ -30,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _require_grid
 from .kernels import KernelTable, _conv_prefix, _frac_integral_values, _resolvent_solve
 from .mittag import derivative_log_terms
 from .phiexp import ConvolutionPowers, _series, phi_exp_series_curve
@@ -63,9 +63,22 @@ _SLACK_SCALE = 4.0
 _SLAB = 32
 
 
+def _nonneg(v: np.ndarray) -> bool:
+    """v never lies below 0 by more than rounding, 1e-12."""
+    return bool(np.all(v >= -1e-12))
+
+
 def _nondecreasing(v: np.ndarray) -> bool:
     """v never drops by more than rounding at its own scale, 1e-12 (1 + max|v|)."""
     return bool(np.all(np.diff(v) >= -1e-12 * (1.0 + float(np.abs(v).max()))))
+
+
+def _g_values(g: GridFunction) -> np.ndarray:
+    """g at the nodes, refused with ValueError unless :func:`_nonneg`, clipped at 0."""
+    gv = g.scalar()
+    if not _nonneg(gv):
+        raise ValueError("the bounds require g >= 0")
+    return np.maximum(gv, 0.0)
 
 
 @dataclass
@@ -83,20 +96,18 @@ class GronwallInstance:
 
     @classmethod
     def build(cls, grid: Grid, x, a, g) -> "GronwallInstance":
-        fx = x if isinstance(x, GridFunction) else GridFunction(grid, np.asarray(x, float))
-        fa = a if isinstance(a, GridFunction) else GridFunction(grid, np.asarray(a, float))
-        fg = g if isinstance(g, GridFunction) else GridFunction(grid, np.asarray(g, float))
-        for f in (fx, fa, fg):
-            if f.dim != 1 or f.grid != grid:
-                raise ValueError("instance functions must be scalar on the given grid")
-        av, gv = fa.scalar(), fg.scalar()
+        fx, fa, fg = (
+            f if isinstance(f, GridFunction) else GridFunction(grid, f) for f in (x, a, g)
+        )
+        _require_grid(grid, fx, fa, fg)
+        _, av, gv = (f.scalar() for f in (fx, fa, fg))  # scalar() refuses d != 1
         return cls(
             grid=grid,
             x=fx,
             a=fa,
             g=fg,
-            a_nonneg=bool(np.all(av >= -1e-12)),
-            g_nonneg=bool(np.all(gv >= -1e-12)),
+            a_nonneg=_nonneg(av),
+            g_nonneg=_nonneg(gv),
             g_nondecreasing=_nondecreasing(gv),
             a_nondecreasing=_nondecreasing(av),
         )
@@ -110,8 +121,7 @@ def apply_B(kt: KernelTable, g: GridFunction, f: GridFunction) -> GridFunction:
     """(B f)(t_i) = g(t_i) * (I f)(t_i), scalar functions only."""
     if g.dim != 1 or f.dim != 1:
         raise ValueError("apply_B is defined for scalar grid functions")
-    if g.grid != kt.grid or f.grid != kt.grid:
-        raise ValueError("grid mismatch in apply_B")
+    _require_grid(kt.grid, g, f)
     vals = g.scalar() * _frac_integral_values(kt.u_cell, f.values)[:, 0]
     return GridFunction(kt.grid, vals)
 
@@ -123,8 +133,7 @@ def series_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunct
     Raises NonconvergenceError where the sum diverges on the grid,
     max|g| * W_0 / 2 >= 1.
     """
-    if g.grid != kt.grid or a.grid != kt.grid:
-        raise ValueError("grid mismatch in series_bound")
+    _require_grid(kt.grid, g, a)
     return GridFunction(kt.grid, _resolvent_solve(kt.u_cell, a.values, g.scalar()))
 
 
@@ -140,15 +149,12 @@ def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
     of E'_beta at z_max = g_max * zeta_(N-1), and the columns are formed in
     log space and summed in slabs.
 
-    Refuses with ValueError any g < 0 and a z_max outside the derivative's
-    domain (see :func:`genfrac.mittag.derivative_log_terms`).
+    Refuses with ValueError g < -1e-12, clipping g at 0, and a z_max outside
+    the derivative's domain (see :func:`genfrac.mittag.derivative_log_terms`).
     """
-    if g.grid != kt.grid or a.grid != kt.grid:
-        raise ValueError("grid mismatch in ml_bound")
-    gv = g.scalar()
+    _require_grid(kt.grid, g, a)
+    gv = _g_values(g)
     av = a.scalar()
-    if float(gv.min()) < 0:
-        raise ValueError("derivative evaluation needs z >= 0: ml_bound requires g >= 0")
     beta = kt.beta
     t = kt.grid.nodes
     s_mid = t[:-1] + 0.5 * kt.grid.step
@@ -174,16 +180,12 @@ def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
 
 
 def monotone_bound(cp: ConvolutionPowers, g: GridFunction, a: GridFunction) -> GridFunction:
-    """a(t) * e(t; g(T)); requires a nondecreasing."""
-    if g.grid != cp.grid or a.grid != cp.grid:
-        raise ValueError("grid mismatch in monotone_bound")
+    """a(t) * e(t; g(T)); requires a nondecreasing and g >= 0 as ml_bound does."""
+    _require_grid(cp.grid, g, a)
     av = a.scalar()
     if not _nondecreasing(av):
         raise ValueError("monotone bound requires a nondecreasing a")
-    lam = float(g.scalar()[-1])
-    if lam < 0:
-        raise ValueError("monotone bound requires g >= 0")
-    curve = phi_exp_series_curve(cp, lam)
+    curve = phi_exp_series_curve(cp, float(_g_values(g)[-1]))
     return GridFunction(cp.grid, av * curve)
 
 
@@ -229,14 +231,10 @@ def check_instance(
     """Verify x <= series <= envelope (and the monotone form when
     applicable) within 1e-8 plus twice the quadrature-error estimate."""
     inst.require_valid()
-    if inst.grid != kt.grid:
-        raise ValueError("instance grid does not match the kernel table")
+    _require_grid(kt.grid, inst, cp)
     xv = inst.x.scalar()
     av = inst.a.scalar()
-    gv = inst.g.scalar()
-
-    memory = _frac_integral_values(kt.u_cell, inst.x.values)[:, 0]
-    certificate_ok = bool(np.all(xv <= av + gv * memory + 1e-10))
+    certificate_ok = bool(np.all(xv <= av + apply_B(kt, inst.g, inst.x).scalar() + 1e-10))
 
     sb = series_bound(kt, inst.g, inst.a).scalar()
     mb = ml_bound(kt, inst.g, inst.a).scalar()
@@ -295,9 +293,8 @@ def random_instance(kt: KernelTable, rng: np.random.Generator) -> GronwallInstan
     a = GridFunction(kt.grid, av)
     g = GridFunction(kt.grid, gv)
     shrink = rng.uniform(0.0, 1.0, size=nodes.shape)
-    tilde = GridFunction(kt.grid, shrink * av)
-    xv = av + gv * _frac_integral_values(kt.u_cell, tilde.values)[:, 0]
-    return GronwallInstance.build(kt.grid, GridFunction(kt.grid, xv), a, g)
+    xv = av + apply_B(kt, g, GridFunction(kt.grid, shrink * av)).scalar()
+    return GronwallInstance.build(kt.grid, xv, a, g)
 
 
 @dataclass
@@ -370,19 +367,13 @@ _CONTINUITY_SLACK = 0.05
 _CONTINUITY_TOL = 1e-10
 
 
-def _eigen_curve(kt: KernelTable, cp: ConvolutionPowers, lam: float, m: int) -> np.ndarray:
-    """e(t_i; lam) for i = 0..m by the series, certified at t_m, the
-    horizon of the run; raises TruncationError where cp cannot certify it."""
-    if cp.grid != kt.grid:
-        raise ValueError("grid mismatch between the kernel table and the convolution powers")
-    return _series(cp, lam, 0, m + 1)
-
-
 def _perturbation_report(problem, perturb, kt, cp, R, m, lam, deltas, bound) -> ContinuityReport:
     """Solve ``problem`` and ``perturb(delta)`` for every delta on nodes
     0..m and compare the nodewise deviations with ``bound(|delta|, e)``,
-    e = e(t_i; lam) for i = 0..m, plus the quadrature and Picard allowances."""
-    e_curve = _eigen_curve(kt, cp, lam, m)
+    e = e(t_i; lam) for i = 0..m by the series certified at t_m (else
+    TruncationError), plus the quadrature and Picard allowances."""
+    _require_grid(kt.grid, cp)
+    e_curve = _series(cp, lam, 0, m + 1)
     base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
     rows = []
     for delta in deltas:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .bernstein import BernsteinFunction
 from .errors import KernelConsistencyError, NonconvergenceError
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _require_grid
 from .laplace import DEFAULT_CONFIG, InversionConfig, invert_grid
 
 __all__ = [
@@ -84,20 +84,41 @@ class KernelTable:
     c_env_U: float
 
 
+def _kernel_table(grid: Grid, U: np.ndarray, V: np.ndarray, beta: float, c_assump: float):
+    """The table of U at the nodes and raw tail-cell masses V: refuses a mass of
+    W = diff U or V below the rounding floor -max(1e-12, 1e-8 max|W|) with
+    KernelConsistencyError, clamps both at 0 and fits ``c_fit`` and ``c_env_U``."""
+    if grid.cells < 2:
+        raise ValueError("kernel tables need at least 2 cells")
+    W = np.diff(U)
+    floor = -max(1e-12, 1e-8 * float(np.max(np.abs(W), initial=0.0)))
+    for name, mass in (("u", W), ("tail", V)):
+        if float(mass.min()) < floor:
+            raise KernelConsistencyError(
+                f"negative {name}-cell mass {mass.min():.3e} below tolerance {floor:.1e}"
+            )
+    W = np.maximum(W, 0.0)
+    t = grid.nodes
+    cell_pow = np.diff(t ** beta) / beta  # cell masses of t**(beta-1)
+    return KernelTable(
+        grid=grid,
+        u_cell=W,
+        U_node=U,
+        nu_cell=np.maximum(V, 0.0),
+        beta=beta,
+        c_assump=c_assump,
+        c_fit=float(np.max(W / cell_pow)),
+        c_env_U=float(np.max(U[1:] / t[1:] ** beta)),
+    )
+
+
 def build_kernel_table(
     phi: BernsteinFunction,
     grid: Grid,
     cfg: InversionConfig = DEFAULT_CONFIG,
 ) -> KernelTable:
     """Materialize u-cell masses, U, and the integrated jump tail."""
-    if phi.a != 0.0 or phi.b != 0.0 or not phi.levy_mass_infinite:
-        raise ValueError(
-            "kernel tables need a driftless, kill-free phi with infinite jump mass"
-        )
-    if grid.cells < 2:
-        raise ValueError("kernel tables need at least 2 cells")
     t = grid.nodes
-
     U_closed = phi.potential_closed_form(t[1:])
     if U_closed is not None:
         U = np.concatenate(([0.0], U_closed))
@@ -105,36 +126,18 @@ def build_kernel_table(
         transform = lambda z: 1.0 / (z * phi.phi(z))  # noqa: E731
         U = np.concatenate(([0.0], invert_grid(transform, t[1:], cfg)))
 
-    W = np.diff(U)
-    floor = -max(1e-12, 1e-8 * float(np.max(np.abs(W), initial=0.0)))
-    if float(W.min()) < floor:
-        raise KernelConsistencyError(
-            f"negative u-cell mass {W.min():.3e} below tolerance {floor:.1e}"
-        )
-    W = np.maximum(W, 0.0)
-
     tail_int = phi.levy_tail_integral(t[1:])
     if tail_int is not None:
         Ntail = np.concatenate(([0.0], np.asarray(tail_int, dtype=float)))
     else:
         transform = lambda z: phi.phi(z) / z ** 2  # noqa: E731
         Ntail = np.concatenate(([0.0], invert_grid(transform, t[1:], cfg)))
-    V = np.diff(Ntail)
-    if float(V.min()) < floor:
-        raise KernelConsistencyError(
-            f"negative tail-cell mass {V.min():.3e} below tolerance {floor:.1e}"
-        )
-    V = np.maximum(V, 0.0)
-
-    beta = phi.beta
-    cell_pow = np.diff(t ** beta) / beta  # cell masses of t**(beta-1)
-    c_fit = float(np.max(W / cell_pow))
-    c_env_U = float(np.max(U[1:] / t[1:] ** beta))
+    kt = _kernel_table(grid, U, np.diff(Ntail), phi.beta, phi.c_assump)
 
     # empirical check of the declared short-time envelope on (0, t0]
     early = t[1:] <= phi.t0
     if np.any(early):
-        c_early = float(np.max((W / cell_pow)[early]))
+        c_early = float(np.max((kt.u_cell / (np.diff(t ** phi.beta) / phi.beta))[early]))
         if c_early > 1.05 * phi.c_assump:
             warnings.warn(
                 f"fitted kernel envelope {c_early:.4g} on (0, t0] exceeds the "
@@ -142,17 +145,7 @@ def build_kernel_table(
                 "looks too optimistic",
                 stacklevel=2,
             )
-
-    return KernelTable(
-        grid=grid,
-        u_cell=W,
-        U_node=U,
-        nu_cell=V,
-        beta=beta,
-        c_assump=phi.c_assump,
-        c_fit=c_fit,
-        c_env_U=c_env_U,
-    )
+    return kt
 
 
 # -- operators ---------------------------------------------------------------
@@ -310,18 +303,13 @@ def _caputo_values(nu_cell: np.ndarray, values: np.ndarray, step: float) -> np.n
     return out
 
 
-def _require_same_grid(kt: KernelTable, f: GridFunction) -> None:
-    if f.grid != kt.grid:
-        raise ValueError(f"grid mismatch: table {kt.grid!r} vs function {f.grid!r}")
-
-
 def frac_integral(kt: KernelTable, f: GridFunction) -> GridFunction:
     """Memory integral (I f)(t_i) = int_0^{t_i} u(t_i - s) f(s) ds.
 
     Product integration: exact u-cell masses against trapezoid cell
     averages of f; result[0] = 0.
     """
-    _require_same_grid(kt, f)
+    _require_grid(kt.grid, f)
     return GridFunction(f.grid, _frac_integral_values(kt.u_cell, f.values))
 
 
@@ -335,7 +323,7 @@ def caputo_derivative(kt: KernelTable, f: GridFunction) -> GridFunction:
     roughness at 0 the first few nodes overshoot by design of the
     difference quotient.
     """
-    _require_same_grid(kt, f)
+    _require_grid(kt.grid, f)
     return GridFunction(f.grid, _caputo_values(kt.nu_cell, f.values, kt.grid.step))
 
 
@@ -357,7 +345,7 @@ class InversionIdentityReport:
 
 
 def check_inversion_identity(kt: KernelTable, f: GridFunction) -> InversionIdentityReport:
-    _require_same_grid(kt, f)
+    _require_grid(kt.grid, f)
     base = f.values - f.values[0]
     a = _frac_integral_values(kt.u_cell, _caputo_values(kt.nu_cell, f.values, kt.grid.step))
     b = _caputo_values(kt.nu_cell, _frac_integral_values(kt.u_cell, f.values), kt.grid.step)
@@ -374,6 +362,7 @@ def check_inversion_identity(kt: KernelTable, f: GridFunction) -> InversionIdent
 
 # -- CSV goldens --------------------------------------------------------------
 
+_CSV_PARAMS = ("beta", "c_assump", "c_fit", "c_env_U")
 _CSV_FIELDS = ("i", "t", "u_cell", "U", "nu_tail_integrated")
 
 
@@ -381,10 +370,7 @@ def kernel_table_to_csv(kt: KernelTable, path) -> None:
     """Write the table as CSV; node rows carry the cell quantities of the
     cell starting at that node (blank on the last row)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(
-            f"# beta={float(kt.beta):.17g} c_assump={float(kt.c_assump):.17g} "
-            f"c_fit={float(kt.c_fit):.17g} c_env_U={float(kt.c_env_U):.17g}\n"
-        )
+        fh.write("# " + " ".join(f"{k}={float(getattr(kt, k)):.17g}" for k in _CSV_PARAMS) + "\n")
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
         n = kt.grid.cells
@@ -395,9 +381,11 @@ def kernel_table_to_csv(kt: KernelTable, path) -> None:
 
 
 def kernel_table_from_csv(path) -> KernelTable:
-    """Read a table written by :func:`kernel_table_to_csv`; a missing
-    parameter, a missing column or a table of fewer than two rows raises
-    ValueError naming what is missing."""
+    """Read a table written by :func:`kernel_table_to_csv`, rebuilt from its
+    ``U`` and ``nu_tail_integrated`` columns as :func:`build_kernel_table`
+    builds it.  Missing, extra, non-finite, out-of-range or off-grid input and
+    stored ``u_cell``, ``c_fit`` or ``c_env_U`` that differ from the rebuilt
+    ones raise ValueError; a negative cell mass raises KernelConsistencyError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -405,26 +393,25 @@ def kernel_table_from_csv(path) -> KernelTable:
         params = dict(tok.split("=") for tok in header[1:].split())
         reader = csv.DictReader(fh)
         rows = list(reader)
-    missing = [key for key in ("beta", "c_assump", "c_fit", "c_env_U") if key not in params]
+    missing = [key for key in _CSV_PARAMS if key not in params]
     missing += [key for key in _CSV_FIELDS if key not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"kernel CSV lacks the parameters or columns {missing}")
     if len(rows) < 2:
         raise ValueError(f"kernel CSV needs at least two node rows, has {len(rows)}")
-    n = len(rows) - 1
-    t = np.array([float(r["t"]) for r in rows])
-    grid = Grid(t[-1], n)
-    U = np.array([float(r["U"]) for r in rows])
-    W = np.array([float(r["u_cell"]) for r in rows[:-1]])
-    V = np.array([float(r["nu_tail_integrated"]) for r in rows[:-1]])
-    beta = float(params["beta"])
-    return KernelTable(
-        grid=grid,
-        u_cell=W,
-        U_node=U,
-        nu_cell=V,
-        beta=beta,
-        c_assump=float(params["c_assump"]),
-        c_fit=float(params["c_fit"]),
-        c_env_U=float(params["c_env_U"]),
-    )
+    if any(None in row or None in row.values() for row in rows):
+        raise ValueError("kernel CSV has a row with missing or extra cells")
+    t, U = (np.array([float(r[k]) for r in rows]) for k in ("t", "U"))
+    W, V = (np.array([float(r[k]) for r in rows[:-1]]) for k in ("u_cell", "nu_tail_integrated"))
+    beta, c_assump, c_fit, c_env_U = (float(params[key]) for key in _CSV_PARAMS)
+    if not all(np.isfinite(v).all() for v in (t, U, W, V, [beta, c_assump, c_fit, c_env_U])):
+        raise ValueError("kernel CSV holds a non-finite value")
+    if not (0 < beta < 1 and c_assump > 0):
+        raise ValueError(f"kernel CSV needs 0 < beta < 1 and c_assump > 0, has {beta}, {c_assump}")
+    grid = Grid(t[-1], len(rows) - 1)
+    if not np.array_equal(t, grid.nodes):
+        raise ValueError("kernel CSV t column is not the uniform grid on [0, t_N]")
+    kt = _kernel_table(grid, U, V, beta, c_assump)
+    if not (np.array_equal(W, kt.u_cell) and c_fit == kt.c_fit and c_env_U == kt.c_env_U):
+        raise ValueError("kernel CSV u_cell, c_fit or c_env_U differ from those of its U column")
+    return kt

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bernstein import BernsteinFunction
 from .errors import CancellationError, ConditioningWarning, TruncationError
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, _require_grid
 from .kernels import INTERIOR_FRAC, KernelTable, _caputo_values, _frac_integral_values
 from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert_grid
 from .mittag import mittag_leffler_tails
@@ -236,8 +236,7 @@ def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float
     derivative overshoots on the first few cells for eigenfunctions, whose
     roughness at 0 matches the kernel's.
     """
-    if e_values.grid != kt.grid:
-        raise ValueError("grid mismatch between table and eigenfunction values")
+    _require_grid(kt.grid, e_values)
     if abs(float(e_values.node_norms()[0]) - 1.0) > 1e-9:
         raise ValueError("eigenfunction values must start at 1")
     deriv = _caputo_values(kt.nu_cell, e_values.values, kt.grid.step)

@@ -138,9 +138,6 @@ def rhs_table(table_t, table_v) -> RhsSpec:
 
 
 def make_problem(spec: RhsSpec, f0, horizon: float) -> IvpProblem:
-    f0 = np.atleast_1d(np.asarray(f0, dtype=float))
-    if f0.shape != (spec.dim,):
-        raise ValueError(f"f0 must have dimension {spec.dim}")
     return IvpProblem(
         rhs=spec.fn,
         f0=f0,

@@ -37,7 +37,6 @@ __all__ = [
     "continue_solution",
     "solve_to_horizon",
     "verify_holder",
-    "HolderReport",
     "neumann_affine_solve",
 ]
 
@@ -341,15 +340,9 @@ def solve_to_horizon(
     return sol, states
 
 
-@dataclass
-class HolderReport:
-    l_est: float
-    argmax_pair: tuple
-    beta: float
-
-
 def verify_holder(f: GridFunction, beta: float):
-    """Largest ratio |f(t_i) - f(t_j)| / |t_i - t_j|^beta over node pairs.
+    """Largest ratio |f(t_i) - f(t_j)| / |t_i - t_j|^beta over node pairs,
+    returned with the pair (i, j) that attains it.
 
     Stable under refinement for genuinely beta-Holder functions; a growing
     estimate under grid refinement indicates lower regularity.
@@ -368,7 +361,7 @@ def verify_holder(f: GridFunction, beta: float):
         if ratio > best:
             best = ratio
             best_pair = (i, i + lag)
-    return best, HolderReport(l_est=best, argmax_pair=best_pair, beta=beta)
+    return best, best_pair
 
 
 def neumann_affine_solve(kt: KernelTable, linmap, xi, f0) -> GridFunction:

@@ -203,6 +203,17 @@ class TestGronwall:
         ) == 0
         assert (out / "gronwall.csv").exists()
 
+    def test_g_below_zero_by_rounding_passes(self, tmp_path):
+        # the instance's hypotheses allow g >= -1e-12; the bounds must too
+        ones = ",".join("1.0" for _ in range(64))
+        path = tmp_path / "inst.kv"
+        path.write_text(f"t = 1.0\nx = 0.5,{ones}\na = 1.0,{ones}\ng = -1e-13,{ones}\n")
+        out = tmp_path / "gi"
+        assert run(
+            ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(out)]
+        ) == 0
+        assert json.loads((out / "gronwall_report.json").read_text())["ok"] is True
+
     def test_instance_violation_is_numerical_failure(self, tmp_path):
         n = 64
         t = np.linspace(0, 1, n + 1)

@@ -285,6 +285,17 @@ class TestCheckInstance:
         assert rep.ok_monotone is None
         assert rep.ok
 
+    def test_g_below_zero_by_rounding_is_answered(self, kt_stable_512, cp_stable_512):
+        grid = kt_stable_512.grid
+        g = np.ones(grid.cells + 1)
+        g[0] = -1e-13
+        inst = GronwallInstance.build(grid, np.full(grid.cells + 1, 0.5), g + 1.0, g)
+        inst.require_valid()
+        rep = check_instance(inst, kt_stable_512, cp_stable_512)
+        assert rep.ok
+        clipped = ml_bound(kt_stable_512, const(kt_stable_512, 1.0), inst.a).scalar()
+        assert np.array_equal(rep.ml, clipped)
+
     def test_random_harness_small(self, kt_stable_512, cp_stable_512):
         rep = run_random_harness(kt_stable_512, cp_stable_512, 20, master_seed=123)
         assert rep.ok

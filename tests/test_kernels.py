@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from genfrac import (
     kernel_table_from_csv,
     kernel_table_to_csv,
 )
-from genfrac.errors import NonconvergenceError
+from genfrac.errors import KernelConsistencyError, NonconvergenceError
 from genfrac.kernels import _conv_prefix, _frac_integral_values, _resolvent_solve
 
 from conftest import INV_GAMMA_1_5, INV_GAMMA_2_5
@@ -100,13 +102,6 @@ class TestBuild:
         )
         with pytest.warns(UserWarning, match="envelope"):
             build_kernel_table(optimistic, Grid(1.0, 64))
-
-    def test_rejects_drifted_phi(self, stable_half):
-        from dataclasses import replace
-
-        bad = replace(stable_half, b=1.0)
-        with pytest.raises(ValueError):
-            build_kernel_table(bad, Grid(1.0, 8))
 
 
 class TestConvPrefix:
@@ -386,8 +381,23 @@ class TestCsv:
             (lambda lines: [lines[0], lines[1].replace(",U,", ",V,")] + lines[2:],
              r"lacks the parameters or columns \['U'\]"),
             (lambda lines: lines[:2], "at least two node rows, has 0"),
+            (lambda lines: _edit_row(lines, 4, lambda cells: cells[:3]), "missing or extra cells"),
+            (lambda lines: _edit_row(lines, 4, lambda cells: cells + ["1"]),
+             "missing or extra cells"),
+            (lambda lines: _edit_cell(lines, 4, 3, "nan"), "non-finite"),
+            (lambda lines: _edit_cell(lines, 4, 1, "0.5"), "not the uniform grid"),
+            (lambda lines: [re.sub(r"c_fit=\S+", "c_fit=0.05", lines[0])] + lines[1:],
+             "differ from"),
+            (lambda lines: [re.sub(r"c_env_U=\S+", "c_env_U=2", lines[0])] + lines[1:],
+             "differ from"),
+            (lambda lines: _edit_cell(lines, 4, 2, "-1"), "differ from"),
+            (lambda lines: [re.sub(r"beta=\S+", "beta=1", lines[0])] + lines[1:],
+             "0 < beta < 1 and c_assump > 0"),
+            (lambda lines: [re.sub(r"c_assump=\S+", "c_assump=-1", lines[0])] + lines[1:],
+             "0 < beta < 1 and c_assump > 0"),
         ],
-        ids=["header-key", "column", "no-rows"],
+        ids=["header-key", "column", "no-rows", "short-row", "extra-cell", "nan", "t-off-grid",
+             "c_fit", "c_env_U", "u_cell", "beta", "c_assump"],
     )
     def test_malformed_file_is_value_error(self, kt_stable_512, tmp_path, mangle, message):
         path = tmp_path / "kernels.csv"
@@ -397,8 +407,30 @@ class TestCsv:
         with pytest.raises(ValueError, match=message):
             kernel_table_from_csv(path)
 
+    def test_negative_cell_mass_is_refused(self, kt_stable_512, tmp_path):
+        # a file whose u_cell and U columns agree on a mass of -1 at node 2
+        path = tmp_path / "kernels.csv"
+        kernel_table_to_csv(kt_stable_512, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines = _edit_cell(lines, 4, 2, "-1")
+        lines = _edit_cell(lines, 5, 3, format(kt_stable_512.U_node[2] - 1.0, ".17g"))
+        path.write_text("".join(lines))
+        with pytest.raises(KernelConsistencyError, match="negative u-cell mass"):
+            kernel_table_from_csv(path)
+
     def test_rewrite_is_byte_identical(self, kt_stable_512, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         kernel_table_to_csv(kt_stable_512, p1)
         kernel_table_to_csv(kt_stable_512, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _edit_row(lines, row, change):
+    """lines with the cells of line ``row`` replaced by ``change(cells)``."""
+    body = lines[row].rstrip("\r\n")
+    edited = ",".join(change(body.split(","))) + lines[row][len(body):]
+    return lines[:row] + [edited] + lines[row + 1:]
+
+
+def _edit_cell(lines, row, col, value):
+    return _edit_row(lines, row, lambda cells: cells[:col] + [value] + cells[col + 1:])

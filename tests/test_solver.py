@@ -273,9 +273,9 @@ class TestHolder:
         for n in (512, 1024, 2048):
             kt = build_kernel_table(stable_half, Grid(1.0, n))
             f = GridFunction(kt.grid, kt.U_node)
-            l_est, rep = verify_holder(f, 0.5)
+            l_est, pair = verify_holder(f, 0.5)
             assert l_est == pytest.approx(INV_GAMMA_1_5, rel=1e-6)
-            assert rep.argmax_pair[0] == 0
+            assert pair[0] == 0
 
     def test_solution_estimate_stabilizes(self, stable_half):
         from genfrac import Grid, build_kernel_table
