@@ -33,8 +33,9 @@ from scipy.special import gamma as _gamma
 from .grids import Grid, GridFunction, _require_grid
 from .kernels import KernelTable, _conv_prefix, _frac_integral_values, _resolvent_solve
 from .mittag import derivative_log_terms
-from .phiexp import ConvolutionPowers, _series, phi_exp_series_curve
-from .solver import IvpProblem, _horizon_index, picard_solve, select_horizon
+from .phiexp import ConvolutionPowers, _require_table, _series, phi_exp_series_curve
+from .problems import IvpProblem
+from .solver import _horizon_index, picard_solve, select_horizon
 
 __all__ = [
     "GronwallInstance",
@@ -231,7 +232,8 @@ def check_instance(
     """Verify x <= series <= envelope (and the monotone form when
     applicable) within 1e-8 plus twice the quadrature-error estimate."""
     inst.require_valid()
-    _require_grid(kt.grid, inst, cp)
+    _require_table(kt, cp)
+    _require_grid(kt.grid, inst)
     xv = inst.x.scalar()
     av = inst.a.scalar()
     certificate_ok = bool(np.all(xv <= av + apply_B(kt, inst.g, inst.x).scalar() + 1e-10))
@@ -325,6 +327,8 @@ def run_random_harness(
     master_seed: int = 0,
 ) -> HarnessReport:
     """Check the bound chain on seeded random instances."""
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be >= 1, got {n_instances}")
     seeds = np.random.SeedSequence(master_seed).spawn(n_instances)
     cert = series_v = order_v = mono_v = 0
     worst_series = math.inf
@@ -372,7 +376,10 @@ def _perturbation_report(problem, perturb, kt, cp, R, m, lam, deltas, bound) -> 
     0..m and compare the nodewise deviations with ``bound(|delta|, e)``,
     e = e(t_i; lam) for i = 0..m by the series certified at t_m (else
     TruncationError), plus the quadrature and Picard allowances."""
-    _require_grid(kt.grid, cp)
+    _require_table(kt, cp)
+    deltas = list(deltas)
+    if not deltas:
+        raise ValueError("deltas must not be empty")
     e_curve = _series(cp, lam, 0, m + 1)
     base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
     rows = []
@@ -414,8 +421,8 @@ def continuity_experiment_initial(
     if any(np.linalg.norm(dvec) > 1.0 for dvec in deltas):
         raise ValueError("perturbations must stay inside the unit ball")
     r_tilde = R + 1.0 + float(np.linalg.norm(problem.f0))
-    m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
-    L = float(problem.lip_l(r_tilde))
+    m = _horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R)
+    L = float(problem.spec.lip_l(r_tilde))
 
     def perturb(dvec):
         return replace(problem, f0=problem.f0 + dvec)
@@ -451,7 +458,7 @@ def continuity_experiment_parameter(
     lip_param * |dv| * U(t) * e(t; lip_state)."""
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     problem = family.make(v0)
-    m = select_horizon(problem, kt, R).index
+    m = select_horizon(problem, kt, R)
     U = kt.U_node[: m + 1]
 
     def perturb(dvec):

@@ -9,11 +9,9 @@ Two fixed-node methods:
 * Fixed Talbot: deformed-contour summation, needs the transform slightly
   off-axis, roughly 1e-11 relative on smooth originals.
 
-Both accept an ``abscissa_shift`` c: the routine inverts ``z -> F(z + c)``
-and multiplies the result by ``exp(c*t)``, which recenters transforms
-whose convergence abscissa is not zero (poles right of the origin need
-c > abscissa; known exponential decay exp(-at) is recentered with c = -a
-to restore relative accuracy).
+Both assume the transform converges on the right half-plane.  A caller
+whose transform has a pole at c > 0 inverts ``z -> F(z + c)`` and
+multiplies the original by ``exp(c*t)``, as the eigenfunction route does.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ class InversionConfig:
     method: str = "gaver-stehfest"
     order: int = 16  # Gaver-Stehfest order, even, 8..20
     nodes: int = 32  # Talbot node count, >= 16
-    abscissa_shift: float = 0.0
 
     def __post_init__(self):
         if self.method not in ("gaver-stehfest", "talbot"):
@@ -51,8 +48,6 @@ class InversionConfig:
                 raise ValueError("Gaver-Stehfest order must be even and in 8..20")
         if self.method == "talbot" and self.nodes < 16:
             raise ValueError("Talbot needs at least 16 nodes")
-        if not math.isfinite(self.abscissa_shift):
-            raise ValueError("abscissa_shift must be finite")
 
 
 DEFAULT_CONFIG = InversionConfig()
@@ -115,11 +110,9 @@ def invert_grid(transform, ts, cfg: InversionConfig = DEFAULT_CONFIG) -> np.ndar
     ts = np.asarray(ts, dtype=float)
     if not np.all(ts > 0):
         raise ValueError("all times must be positive")
-    shift = cfg.abscissa_shift
-    fn = transform if shift == 0.0 else (lambda z: transform(z + shift))
     if cfg.method == "gaver-stehfest":
         z = (_LN2 / ts)[:, None] * np.arange(1, cfg.order + 1)[None, :]
-        vals = _transform_values(fn, z, float)
+        vals = _transform_values(transform, z, float)
         # a row-wise sum keeps each time's summation order fixed; a BLAS
         # product reorders it with the row count, and the weights reach 3.6e9
         out = (_LN2 / ts) * (vals * _gs_weights(cfg.order)).sum(axis=1)
@@ -130,13 +123,13 @@ def invert_grid(transform, ts, cfg: InversionConfig = DEFAULT_CONFIG) -> np.ndar
         sigma = theta + (theta * cot - 1.0) * cot
         r = 2.0 * nodes / (5.0 * ts)
         zmat = r[:, None] * theta[None, :] * (cot[None, :] + 1j)
-        vals = _transform_values(fn, zmat, complex)
-        head = 0.5 * _transform_values(fn, r.astype(complex), complex) * np.exp(r * ts)
+        vals = _transform_values(transform, zmat, complex)
+        head = 0.5 * _transform_values(transform, r.astype(complex), complex) * np.exp(r * ts)
         body = np.real(np.exp(ts[:, None] * zmat) * vals * (1.0 + 1j * sigma[None, :]))
         out = (r / nodes) * (head.real + body.sum(axis=1))
     if not np.all(np.isfinite(out)):
         raise InversionError("inversion produced non-finite values")
-    return out if shift == 0.0 else np.exp(shift * ts) * out
+    return out
 
 
 def abscissa_for_eigen(phi, lam: float) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinFunction
@@ -48,13 +48,14 @@ CANCELLATION_LIMIT = 1e6
 
 @dataclass
 class ConvolutionPowers:
-    """Iterated memory integrals of 1 on a grid: u_star[k][i] ~= u_k(t_i)."""
+    """Iterated memory integrals of 1 on the grid of ``table``: u_star[k][i] ~= u_k(t_i)."""
 
-    grid: Grid
+    table: KernelTable
     u_star: np.ndarray  # shape (K_max+1, N+1)
-    beta: float
-    c_env_u: float  # fitted C2: u(t) <= C2 t^(beta-1)
-    c_env_U: float  # fitted C1: U(t) <= C1 t^beta
+
+    @property
+    def grid(self) -> Grid:
+        return self.table.grid
 
     @property
     def k_max(self) -> int:
@@ -72,9 +73,13 @@ def convolution_powers(kt: KernelTable, k_max: int) -> ConvolutionPowers:
     for k in range(1, k_max + 1):
         col = _frac_integral_values(kt.u_cell, col)
         u[k] = col[:, 0]
-    return ConvolutionPowers(
-        grid=kt.grid, u_star=u, beta=kt.beta, c_env_u=kt.c_fit, c_env_U=kt.c_env_U
-    )
+    return ConvolutionPowers(kt, u)
+
+
+def _require_table(kt: KernelTable, cp: ConvolutionPowers) -> None:
+    """Refuse powers built from any table but ``kt`` itself."""
+    if cp.table is not kt:
+        raise ValueError("convolution powers were built from another kernel table")
 
 
 def _require_finite(lam: float) -> None:
@@ -83,11 +88,12 @@ def _require_finite(lam: float) -> None:
         raise ValueError(f"lam must be finite, got {lam}")
 
 
-def _majorant_tails(beta: float, c_u: float, c_U: float, lam: float, t: float, k_max: int):
+def _majorant_tails(kt: KernelTable, lam: float, t: float, k_max: int):
     """Bounds on sum_{k >= j} |lam|^k u_k(t) for j = 0..k_max (used for j >= 1)
-    from the envelopes u <= c_u t^(beta-1) and U <= c_U t^beta."""
-    x = abs(lam) * c_u * math.gamma(beta) * t ** beta
-    return c_U * beta / c_u * mittag_leffler_tails(beta, x, k_max)
+    from the envelopes u <= c_fit t^(beta-1) and U <= c_env_U t^beta of ``kt``."""
+    beta = kt.beta
+    x = abs(lam) * kt.c_fit * math.gamma(beta) * t ** beta
+    return kt.c_env_U * beta / kt.c_fit * mittag_leffler_tails(beta, x, k_max)
 
 
 def suggest_power_count(kt: KernelTable, lam: float) -> int:
@@ -105,7 +111,7 @@ def suggest_power_count(kt: KernelTable, lam: float) -> int:
     if lam == 0.0:
         return 1
     target = SERIES_TOL * (0.01 if lam < 0 else 1.0)
-    tails = _majorant_tails(kt.beta, kt.c_fit, kt.c_env_U, lam, t, 2048)
+    tails = _majorant_tails(kt, lam, t, 2048)
     met = tails[2:] <= target
     if met.any():
         return max(int(np.argmax(met)) + 3, 4)
@@ -140,7 +146,7 @@ def _series(cp: ConvolutionPowers, lam: float, start: int, stop: int) -> np.ndar
     if lam == 0.0:
         return np.ones(stop - start)
     t = cp.grid.nodes[stop - 1]
-    tails = _majorant_tails(cp.beta, cp.c_env_u, cp.c_env_U, lam, t, cp.k_max + 1)
+    tails = _majorant_tails(cp.table, lam, t, cp.k_max + 1)
     last = _terms(cp, lam, cp.k_max, np.arange(cp.k_max + 1), stop - 1)
     met = tails[2:] <= SERIES_TOL * np.maximum(np.abs(np.cumsum(last)[1:]), 1e-300)
     K = int(np.argmax(met)) + 1 if met.any() else cp.k_max
@@ -206,9 +212,7 @@ def _eigen_transform(phi: BernsteinFunction, lam: float, guard: float):
     return transform
 
 
-def _eigen_shift(phi: BernsteinFunction, lam: float, cfg: InversionConfig) -> float:
-    if cfg.abscissa_shift != 0.0:
-        return cfg.abscissa_shift
+def _eigen_shift(phi: BernsteinFunction, lam: float) -> float:
     if lam <= 0:
         return 0.0
     # recentre essentially at the pole: the shifted original then tends to
@@ -221,12 +225,15 @@ def _eigen_shift(phi: BernsteinFunction, lam: float, cfg: InversionConfig) -> fl
 def phi_exp_laplace_curve(
     phi: BernsteinFunction, lam: float, ts, cfg: InversionConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Laplace route at an array of positive times."""
+    """Laplace route at an array of positive times; for lam > 0 it inverts
+    z -> F(z + c), c just past the pole phi^{-1}(lam), and multiplies by exp(c t)."""
     _require_finite(lam)
-    shift = _eigen_shift(phi, lam, cfg)
-    guard = 1e-8 * max(1.0, abs(lam))
-    transform = _eigen_transform(phi, lam, guard)
-    return invert_grid(transform, ts, replace(cfg, abscissa_shift=shift))
+    shift = _eigen_shift(phi, lam)
+    transform = _eigen_transform(phi, lam, 1e-8 * max(1.0, abs(lam)))
+    if shift == 0.0:
+        return invert_grid(transform, ts, cfg)
+    ts = np.asarray(ts, dtype=float)
+    return np.exp(shift * ts) * invert_grid(lambda z: transform(z + shift), ts, cfg)
 
 
 def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:

@@ -24,10 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import read_kv_file
-from .solver import IvpProblem
 
 __all__ = [
     "RhsSpec",
+    "IvpProblem",
     "rhs_zero",
     "rhs_constant",
     "rhs_linear",
@@ -42,11 +42,38 @@ __all__ = [
 
 @dataclass
 class RhsSpec:
+    """F with ``c_bound(R)`` >= |F(t, x)| and ``lip_l(R)`` >= its state-Lipschitz
+    constant over |x| <= R, both nondecreasing in R."""
+
     fn: Callable  # vectorized: (ts (m,), ys (m, d)) -> (m, d)
     dim: int
     c_bound: Callable[[float], float]
     lip_l: Callable[[float], float]
     label: str
+
+
+@dataclass
+class IvpProblem:
+    """D f = F(t, f), f(0) = f0 on [0, horizon], with F given by ``spec``."""
+
+    spec: RhsSpec
+    f0: np.ndarray
+    horizon: float
+
+    def __post_init__(self):
+        self.f0 = np.atleast_1d(np.asarray(self.f0, dtype=float))
+        if self.f0.shape != (self.spec.dim,):
+            raise ValueError(f"f0 must have shape ({self.spec.dim},), got {self.f0.shape}")
+        if not np.all(np.isfinite(self.f0)):
+            raise ValueError(f"f0 must be finite, got {self.f0}")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
+
+    def eval_rhs(self, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.spec.fn(ts, ys), dtype=float)
+        if out.shape != ys.shape:
+            raise ValueError(f"rhs returned shape {out.shape}, expected {ys.shape}")
+        return out
 
 
 def _affine(M: np.ndarray, xi: np.ndarray, label: str) -> RhsSpec:
@@ -119,6 +146,10 @@ def rhs_table(table_t, table_v) -> RhsSpec:
         vs = vs[:, None]
     if ts.ndim != 1 or vs.shape[0] != ts.shape[0]:
         raise ValueError("table_t and table_v must have matching lengths")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+        raise ValueError("table_t and table_v must be finite")
+    if np.any(np.diff(ts) <= 0):
+        raise ValueError("table_t must be strictly increasing")
     mag = float(np.linalg.norm(vs, axis=1).max())
     dim = vs.shape[1]
 
@@ -138,15 +169,7 @@ def rhs_table(table_t, table_v) -> RhsSpec:
 
 
 def make_problem(spec: RhsSpec, f0, horizon: float) -> IvpProblem:
-    return IvpProblem(
-        rhs=spec.fn,
-        f0=f0,
-        horizon=horizon,
-        dim=spec.dim,
-        bound_c=spec.c_bound,
-        lip_l=spec.lip_l,
-        label=spec.label,
-    )
+    return IvpProblem(spec, f0, horizon)
 
 
 def _floats(text: str) -> list:

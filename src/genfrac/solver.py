@@ -19,18 +19,17 @@ the first segment, a continuation from the empty history f(0) = f0;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .errors import ConfinementError, HorizonError, NonconvergenceError
-from .grids import Grid, GridFunction
+from .grids import GridFunction
 from .kernels import KernelTable, _conv_prefix, _resolvent_solve
+from .problems import IvpProblem
 
 __all__ = [
-    "IvpProblem",
     "PicardState",
-    "HorizonSelection",
     "select_horizon",
     "pick_bielecki_tau",
     "picard_solve",
@@ -39,37 +38,6 @@ __all__ = [
     "verify_holder",
     "neumann_affine_solve",
 ]
-
-
-@dataclass
-class IvpProblem:
-    """Right-hand side with local bound/Lipschitz metadata.
-
-    ``bound_c(R)`` bounds |F(t, x)| over |x| <= R, ``lip_l(R)`` bounds the
-    state-Lipschitz constant there; both must be nondecreasing in R.
-    ``rhs`` maps a batch (times (m,), states (m, d)) to an (m, d) array.
-    """
-
-    rhs: Callable
-    f0: np.ndarray
-    horizon: float
-    dim: int
-    bound_c: Callable[[float], float]
-    lip_l: Callable[[float], float]
-    label: str = ""
-
-    def __post_init__(self):
-        self.f0 = np.atleast_1d(np.asarray(self.f0, dtype=float))
-        if self.f0.shape != (self.dim,):
-            raise ValueError(f"f0 must have shape ({self.dim},), got {self.f0.shape}")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-
-    def eval_rhs(self, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.rhs(ts, ys), dtype=float)
-        if out.shape != ys.shape:
-            raise ValueError(f"rhs returned shape {out.shape}, expected {ys.shape}")
-        return out
 
 
 @dataclass
@@ -83,13 +51,6 @@ class PicardState:
     residual_sup: float
     horizon_index: int
     t_prime: float
-    r_tilde: float
-
-
-@dataclass(frozen=True)
-class HorizonSelection:
-    t_prime: float
-    index: int
     r_tilde: float
 
 
@@ -114,11 +75,10 @@ def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float) -> int:
     return m
 
 
-def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> HorizonSelection:
-    """Largest grid-aligned T' <= T with bound_c(R + |f0|) * U(T') < R."""
+def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> int:
+    """Index m of the largest node T' = t_m <= T with c_bound(R + |f0|) * U(T') < R."""
     r_tilde = R + float(np.linalg.norm(problem.f0))
-    m = _horizon_index(problem.bound_c, r_tilde, kt.U_node, R)
-    return HorizonSelection(float(kt.grid.nodes[m]), m, r_tilde)
+    return _horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R)
 
 
 def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
@@ -188,7 +148,7 @@ def _solve_segment(
     nodes = kt.grid.nodes
     centre = prior[-1]
     r_tilde = R + float(np.linalg.norm(centre))
-    L = float(problem.lip_l(r_tilde))
+    L = float(problem.spec.lip_l(r_tilde))
 
     base = problem.f0
     if mp > 0:
@@ -269,7 +229,7 @@ def picard_solve(
     replaces f0 as the constant starting iterate.
     """
     if horizon_index is None:
-        m = select_horizon(problem, kt, R).index
+        m = select_horizon(problem, kt, R)
     else:
         m = int(horizon_index)
         if not 1 <= m <= kt.grid.cells:
@@ -278,8 +238,8 @@ def picard_solve(
         start = np.tile(problem.f0, (m + 1, 1))
     else:
         init = np.atleast_1d(np.asarray(initial, dtype=float))
-        if init.shape != (problem.dim,):
-            raise ValueError(f"initial must be a vector of length {problem.dim}")
+        if init.shape != (problem.spec.dim,):
+            raise ValueError(f"initial must be a vector of length {problem.spec.dim}")
         if np.linalg.norm(init - problem.f0) > R * (1 + 1e-12):
             raise ValueError("initial iterate must start inside B_R(f0)")
         start = np.tile(init, (m + 1, 1))
@@ -309,12 +269,12 @@ def continue_solution(
     n = kt.grid.cells
     if mp >= n:
         raise ValueError("prior already covers the full grid")
-    if prior.dim != problem.dim:
+    if prior.dim != problem.spec.dim:
         raise ValueError("dimension mismatch between prior and problem")
     f_end = prior.values[-1]
     if extend_index is None:
         r_tilde = R + float(np.linalg.norm(f_end))
-        m = mp + min(_horizon_index(problem.bound_c, r_tilde, kt.U_node, R), n - mp)
+        m = mp + min(_horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R), n - mp)
     else:
         m = int(extend_index)
         if not mp < m <= n:

@@ -283,10 +283,11 @@ def test_c07_picard_machinery():
     R = 0.6
     tol = 1e-11
 
-    sel = select_horizon(problem, kt, R)
     sol, state = picard_solve(problem, kt, R, tol=tol)
+    assert state.horizon_index == select_horizon(problem, kt, R)
+    assert state.t_prime == kt.grid.nodes[state.horizon_index]
     kappa = _theoretical_contraction(
-        kt, problem.lip_l(sel.r_tilde), sel.t_prime, state.bielecki_tau
+        kt, problem.spec.lip_l(state.r_tilde), state.t_prime, state.bielecki_tau
     )
     assert kappa == pytest.approx(0.5, rel=1e-12)
     assert state.contraction_ratio_estimates, "need at least one ratio"
@@ -307,7 +308,7 @@ def test_c07_picard_machinery():
 
     elapsed = time.time() - start
     assert elapsed <= 30.0
-    _report("7 (Picard machinery)", elapsed, 30, f"T'={sel.t_prime:.4f}")
+    _report("7 (Picard machinery)", elapsed, 30, f"T'={state.t_prime:.4f}")
 
 
 def test_c08_holder_regularity():

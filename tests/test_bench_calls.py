@@ -1,7 +1,7 @@
 """The benchmark's own calls into genfrac still run and pass their checks.
 
-One round of the ``gronwall`` and ``march`` workloads runs through each
-operation's ``run`` and ``check``, and every function the tracer wraps
+One round of every workload runs through each operation's ``run`` and
+``check``, and every function the tracer wraps
 still exists, so a change that breaks a call site in ``bench/`` fails here
 rather than only when the benchmark runs.
 """
@@ -19,7 +19,7 @@ if str(ROOT) not in sys.path:
 from bench import tracing, workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("name", ["gronwall", "march"])
+@pytest.mark.parametrize("name", ["eigen-fine", "gronwall", "march", "mc"])
 def test_one_round_runs_and_passes_its_checks(name):
     workload = workloads.WORKLOADS[name]
     checks = workloads.Checks()

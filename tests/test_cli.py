@@ -169,6 +169,24 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "usage error" in err and "missing required key: 'xi'" in err
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "f0 = 0.0\nrhs = table\ntable_t = 1,0.5,0\ntable_v = 0,1,5\n",
+            "f0 = 0.0\nrhs = table\ntable_t = 0,0.5,1\ntable_v = 0,nan,0\n",
+            "f0 = nan\nrhs = logistic\nrate = 1.0\n",
+        ],
+        ids=["decreasing_table_t", "nan_table_v", "nan_f0"],
+    )
+    def test_bad_problem_values_are_usage_errors(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.kv"
+        path.write_text("d = 1\nT = 1.0\nR = 20\n" + lines)
+        assert run(
+            ["solve", "--phi", "stable:0.5", "--problem", str(path), "--N", "64",
+             "--out", str(tmp_path)]
+        ) == 2
+        assert "usage error" in capsys.readouterr().err
+
     def test_missing_problem_file_is_usage_error(self, tmp_path):
         assert run(
             ["solve", "--phi", "stable:0.5", "--problem", str(tmp_path / "nope.kv"),
@@ -186,6 +204,13 @@ class TestGronwall:
         verdict = json.loads((out / "gronwall_report.json").read_text())
         assert verdict["ok"] is True
         assert verdict["instances"] == 10
+
+    def test_no_instances_is_usage_error(self, tmp_path, capsys):
+        assert run(
+            ["gronwall", "--phi", "stable:0.5", "--random", "--seeds", "0",
+             "--N", "64", "--out", str(tmp_path)]
+        ) == 2
+        assert "n_instances must be >= 1" in capsys.readouterr().err
 
     def test_instance_file_pass(self, tmp_path):
         n = 64

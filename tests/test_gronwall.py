@@ -301,6 +301,12 @@ class TestCheckInstance:
         assert rep.ok
         assert rep.n_instances == 20
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_harness_needs_an_instance(self, kt_stable_512, cp_stable_512, n):
+        # no instance would certify nothing and report worst margins of inf
+        with pytest.raises(ValueError, match="n_instances must be >= 1"):
+            run_random_harness(kt_stable_512, cp_stable_512, n)
+
     def test_random_instances_are_valid(self, kt_stable_512):
         rng = np.random.default_rng(77)
         for _ in range(5):
@@ -419,15 +425,54 @@ class TestContinuity:
         kt = build_kernel_table(stable_half, Grid(1.0, 256))
         cp = convolution_powers(build_kernel_table(stable_half, Grid(2.0, 256)), 72)
         problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
-        with pytest.raises(ValueError, match="grid mismatch"):
+        with pytest.raises(ValueError, match="another kernel table"):
             continuity_experiment_initial(problem, kt, cp, R=2.0, deltas=[0.1])
         family = ParamFamily(
             make=lambda v: make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0),
             lip_param=1.0,
             lip_state=1.5,
         )
-        with pytest.raises(ValueError, match="grid mismatch"):
+        with pytest.raises(ValueError, match="another kernel table"):
             continuity_experiment_parameter(family, kt, cp, v0=[-1.0], deltas=[0.1], R=2.0)
+
+    def test_powers_of_another_phi_are_refused(self, stable_half, tempered_half):
+        # one grid, so a grid check passes them: read with the tempered powers,
+        # the stable continuity factor is 4.18 where its own powers give 1.95,
+        # and the saturated tempered instance's monotone curve peaks at 18.6
+        # where its own powers reach 271
+        grid = Grid(1.0, 256)
+        kt_s, kt_t = (build_kernel_table(phi, grid) for phi in (stable_half, tempered_half))
+        cp_s, cp_t = (convolution_powers(kt, 8) for kt in (kt_s, kt_t))
+        inst = saturated_instance(kt_t, const(kt_t, 1.5), const(kt_t, 1.0))
+        with pytest.raises(ValueError, match="another kernel table"):
+            check_instance(inst, kt_t, cp_s)
+        with pytest.raises(ValueError, match="another kernel table"):
+            run_random_harness(kt_t, cp_s, 2)
+        problem = make_problem(rhs_linear([[-0.5]]), [0.4], 1.0)
+        with pytest.raises(ValueError, match="another kernel table"):
+            continuity_experiment_initial(problem, kt_s, cp_t, R=2.0, deltas=[1e-3, -1e-2, 5e-2])
+        family = ParamFamily(
+            make=lambda v: make_problem(rhs_linear([[float(v[0])]]), [0.4], 1.0),
+            lip_param=1.0,
+            lip_state=0.5,
+        )
+        with pytest.raises(ValueError, match="another kernel table"):
+            continuity_experiment_parameter(family, kt_s, cp_t, v0=[-0.5], deltas=[0.1], R=2.0)
+
+    def test_empty_deltas_are_refused(self, kt_stable_512, cp_stable_512):
+        # no perturbation would compare nothing and report ok
+        problem = make_problem(rhs_linear([[-1.0]]), [1.0], 1.0)
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            continuity_experiment_initial(problem, kt_stable_512, cp_stable_512, R=2.0, deltas=())
+        family = ParamFamily(
+            make=lambda v: make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0),
+            lip_param=1.0,
+            lip_state=1.5,
+        )
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            continuity_experiment_parameter(
+                family, kt_stable_512, cp_stable_512, v0=[-1.0], deltas=[], R=2.0
+            )
 
     def test_initial_rejects_large_delta(self, kt_stable_512, cp_stable_512, monkeypatch):
         # refused before the first solve

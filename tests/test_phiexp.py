@@ -58,11 +58,11 @@ class TestConvolutionPowers:
     def test_envelope_majorant_holds(self, cp_stable_512):
         cp = cp_stable_512
         t = cp.grid.nodes[1:]
-        beta = cp.beta
+        beta = cp.table.beta
         for k in range(1, 9):
             bound = (
-                cp.c_env_U
-                * cp.c_env_u ** (k - 1)
+                cp.table.c_env_U
+                * cp.table.c_fit ** (k - 1)
                 * beta
                 * (math.gamma(beta) * t ** beta) ** k
                 / math.exp(float(gammaln(beta * k + 1.0)))
@@ -116,9 +116,9 @@ def _reference_terms(cp, lam, K, i):
 def _certified_k(cp, lam, i):
     """First K >= 1 whose majorant tail at node i meets SERIES_TOL against
     the running sum of the terms there, or None."""
-    beta = cp.beta
-    x = abs(lam) * cp.c_env_u * math.gamma(beta) * cp.grid.nodes[i] ** beta
-    tails = cp.c_env_U * beta / cp.c_env_u * mittag_leffler_tails(beta, x, cp.k_max + 1)
+    beta, c_u = cp.table.beta, cp.table.c_fit
+    x = abs(lam) * c_u * math.gamma(beta) * cp.grid.nodes[i] ** beta
+    tails = cp.table.c_env_U * beta / c_u * mittag_leffler_tails(beta, x, cp.k_max + 1)
     running = 0.0
     for K, term in enumerate(_reference_terms(cp, lam, cp.k_max, i)):
         running += term

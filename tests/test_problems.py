@@ -47,9 +47,46 @@ def test_table_forcing_interpolates():
     assert spec.lip_l(10.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "table_t, table_v, match",
+    [
+        ([1.0, 0.5, 0.0], [0.0, 1.0, 5.0], "strictly increasing"),
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 2.0, 0.0], "strictly increasing"),
+        ([0.0, np.nan, 1.0], [0.0, 1.0, 0.0], "finite"),
+        ([0.0, 0.5, np.inf], [0.0, 1.0, 0.0], "finite"),
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 0.0], "finite"),
+    ],
+    ids=["decreasing", "repeated", "nan_time", "inf_time", "nan_value"],
+)
+def test_table_refuses_what_it_would_misread(table_t, table_v, match):
+    # np.interp reads table_t = 1, 0.5, 0 with table_v = 0, 1, 5 as
+    # F = 0, 5, 5, 5, 5 at t = 0, 1/4, ..., 1 where the table means 5, 3, 1, 0.5, 0
+    with pytest.raises(ValueError, match=match):
+        rhs_table(table_t, table_v)
+
+
 def test_make_problem_checks_dimension():
     with pytest.raises(ValueError):
         make_problem(rhs_zero(2), [1.0], 1.0)
+
+
+def test_problem_keeps_its_spec():
+    spec = rhs_logistic(1.0)
+    problem = make_problem(spec, [0.4], 1.0)
+    assert problem.spec is spec
+    assert problem.eval_rhs(np.zeros(1), np.array([[0.4]]))[0, 0] == pytest.approx(0.24)
+
+
+@pytest.mark.parametrize("f0", [np.nan, np.inf, -np.inf])
+def test_problem_refuses_a_non_finite_f0(f0):
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        make_problem(rhs_logistic(1.0), [f0], 1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+def test_problem_refuses_a_horizon_outside_the_positive_reals(horizon):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        make_problem(rhs_zero(1), [0.0], horizon)
 
 
 def test_load_problem_file(tmp_path):
@@ -60,7 +97,7 @@ def test_load_problem_file(tmp_path):
     )
     problem, radius, meta = load_problem_file(path)
     assert radius == 1.0
-    assert problem.dim == 1
+    assert problem.spec.dim == 1
     assert meta["rhs"] == "logistic"
     out = problem.eval_rhs(np.zeros(1), np.array([[0.4]]))
     assert out[0, 0] == pytest.approx(1.5 * 0.4 * 0.6)
@@ -73,7 +110,7 @@ def test_load_problem_file_vector(tmp_path):
         "matrix = 0.0,-1.0,1.0,0.0\n"
     )
     problem, _, _ = load_problem_file(path)
-    assert problem.dim == 2
+    assert problem.spec.dim == 2
     out = problem.eval_rhs(np.zeros(1), np.array([[1.0, 0.0]]))
     assert out[0] == pytest.approx([0.0, 1.0])
 

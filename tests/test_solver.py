@@ -7,9 +7,9 @@ from genfrac import (
     ConfinementError,
     GridFunction,
     HorizonError,
-    IvpProblem,
     NonconvergenceError,
     NumericalError,
+    RhsSpec,
     continue_solution,
     make_problem,
     mittag_leffler,
@@ -33,30 +33,31 @@ from conftest import INV_GAMMA_1_5, ML_ORACLE
 
 def bounded_problem(c_value: float, f0=0.0, horizon=1.0):
     """Problem whose local bound is a constant, for horizon tests."""
-    return IvpProblem(
-        rhs=lambda ts, ys: np.zeros_like(ys),
-        f0=np.atleast_1d(f0),
-        horizon=horizon,
+    spec = RhsSpec(
+        fn=lambda ts, ys: np.zeros_like(ys),
         dim=1,
-        bound_c=lambda R: c_value,
+        c_bound=lambda R: c_value,
         lip_l=lambda R: 0.0,
+        label="bounded",
     )
+    return make_problem(spec, np.atleast_1d(f0), horizon)
 
 
 class TestSelectHorizon:
     def test_stable_example(self, kt_stable_4096):
         # C * U(T') < R with C=2, R=1 caps T' at (R Gamma(1.5) / C)^2
-        sel = select_horizon(bounded_problem(2.0), kt_stable_4096, R=1.0)
+        m = select_horizon(bounded_problem(2.0), kt_stable_4096, R=1.0)
+        t_prime = kt_stable_4096.grid.nodes[m]
         cap = 0.19634954084936207
-        assert sel.t_prime <= cap
-        assert cap - sel.t_prime <= kt_stable_4096.grid.step
-        assert 2.0 * kt_stable_4096.U_node[sel.index] < 1.0
-        assert 2.0 * kt_stable_4096.U_node[sel.index + 1] >= 1.0
+        assert t_prime <= cap
+        assert cap - t_prime <= kt_stable_4096.grid.step
+        assert 2.0 * kt_stable_4096.U_node[m] < 1.0
+        assert 2.0 * kt_stable_4096.U_node[m + 1] >= 1.0
 
     def test_vacuous_bound_gives_full_horizon(self, kt_stable_512):
-        sel = select_horizon(bounded_problem(0.0), kt_stable_512, R=1.0)
-        assert sel.t_prime == kt_stable_512.grid.horizon
-        assert sel.index == kt_stable_512.grid.cells
+        m = select_horizon(bounded_problem(0.0), kt_stable_512, R=1.0)
+        assert m == kt_stable_512.grid.cells
+        assert kt_stable_512.grid.nodes[m] == kt_stable_512.grid.horizon
 
     def test_too_coarse_raises(self, kt_stable_512):
         with pytest.raises(HorizonError):
