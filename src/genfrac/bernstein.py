@@ -11,6 +11,7 @@ toolkit consumes: the value ``phi(lam)``, the jump-measure tail
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -127,7 +128,13 @@ class BernsteinFunction:
         label: str = "custom",
     ) -> "BernsteinFunction":
         """Wrap user callables; the envelope data (beta, c_assump, t0) is a
-        caller contract and is only spot-checked, never inferred."""
+        caller contract and is only spot-checked, never inferred.
+
+        ``phi_eval`` must take a complex argument and return a finite value
+        there, because the kernels of a custom kind come from Laplace
+        inversion, which evaluates phi off the real axis; one that cannot
+        is refused with ``ValueError``.
+        """
         obj = cls(
             kind="custom",
             phi_fn=phi_eval,
@@ -139,6 +146,7 @@ class BernsteinFunction:
         )
         if check:
             _spot_check_monotone(obj)
+        _require_complex_argument(obj)
         return obj
 
     # -- evaluation --------------------------------------------------------
@@ -153,11 +161,13 @@ class BernsteinFunction:
         if self.kind == "tempered":
             return (lam + self.theta) ** self.alpha - self.theta ** self.alpha
         if self.kind == "mixture":
-            acc = None
-            for w, a in zip(self.weights, self.alphas):
-                term = w * lam ** a
-                acc = term if acc is None else acc + term
-            return acc
+            # one shared log z: a complex power costs three times an exp.
+            # At z = 0 the log is -inf, a * log z is -inf (+ nan i for a
+            # complex z) and its exp is exactly 0, so phi(0) = 0 silently.
+            with np.errstate(divide="ignore"):
+                log_lam = np.log(lam)
+            with np.errstate(invalid="ignore"):
+                return sum(w * np.exp(a * log_lam) for w, a in zip(self.weights, self.alphas))
         return self.phi_fn(lam)
 
     def levy_tail(self, t):
@@ -254,6 +264,17 @@ def _spot_check_monotone(phi: BernsteinFunction, n: int = 40) -> None:
         raise ValueError("custom phi takes negative values on the test grid")
     if np.any(np.diff(vals) < -1e-10 * (1.0 + np.abs(vals[:-1]))):
         raise ValueError("custom phi is not nondecreasing on the test grid")
+
+
+def _require_complex_argument(phi: BernsteinFunction) -> None:
+    # points on both sides of the imaginary axis, as on the inversion contour
+    for z in (1.0 + 1.0j, -1.0 + 1.0j):
+        try:
+            val = complex(phi.phi(z))
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ValueError(f"custom phi must take a complex argument; at {z}: {exc}") from exc
+        if not cmath.isfinite(val):
+            raise ValueError(f"custom phi is not finite at the complex argument {z}")
 
 
 # -- finite-difference sign validation -------------------------------------

@@ -32,7 +32,6 @@ from .gronwall import (
     run_random_harness,
 )
 from .kernels import build_kernel_table, kernel_table_to_csv
-from .laplace import parse_ilt_spec
 from .mc import (
     McConfig,
     _exp_samples,
@@ -136,9 +135,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_kernels(args) -> int:
     phi = _phi_from_arg(args.phi)
-    cfg = parse_ilt_spec(args.ilt)
     grid = Grid(args.T, args.N)
-    kt = build_kernel_table(phi, grid, cfg)
+    kt = build_kernel_table(phi, grid)
     report = {
         "beta": kt.beta,
         "c_assump": kt.c_assump,
@@ -153,21 +151,20 @@ def cmd_kernels(args) -> int:
 
 def cmd_eigen(args) -> int:
     phi = _phi_from_arg(args.phi)
-    cfg = parse_ilt_spec(args.ilt)
     grid = Grid(args.T, args.N)
     lam = args.lam
     methods = ["series", "laplace", "mc"] if args.method == "all" else [args.method]
 
     columns = {}
     if "series" in methods:
-        kt = build_kernel_table(phi, grid, cfg)
+        kt = build_kernel_table(phi, grid)
         k_need = suggest_power_count(kt, lam)
         cp = convolution_powers(kt, k_need)
         columns["series"] = phi_exp_series_curve(cp, lam)
     if "laplace" in methods:
         vals = np.empty(grid.cells + 1)
         vals[0] = 1.0
-        vals[1:] = phi_exp_laplace_curve(phi, lam, grid.nodes[1:], cfg)
+        vals[1:] = phi_exp_laplace_curve(phi, lam, grid.nodes[1:])
         columns["laplace"] = vals
     if "mc" in methods:
         mc_cfg = McConfig(
@@ -197,10 +194,9 @@ def cmd_eigen(args) -> int:
 
 def cmd_solve(args) -> int:
     phi = _phi_from_arg(args.phi)
-    cfg = parse_ilt_spec(args.ilt)
     problem, radius, meta = load_problem_file(args.problem)
     grid = Grid(problem.horizon, args.N)
-    kt = build_kernel_table(phi, grid, cfg)
+    kt = build_kernel_table(phi, grid)
     sol, states = solve_to_horizon(
         problem, kt, radius, tol=args.tol, max_iter=args.max_iter
     )
@@ -229,10 +225,9 @@ def cmd_solve(args) -> int:
 
 def cmd_gronwall(args) -> int:
     phi = _phi_from_arg(args.phi)
-    cfg = parse_ilt_spec(args.ilt)
 
     if args.random:
-        kt = build_kernel_table(phi, Grid(args.T, args.N), cfg)
+        kt = build_kernel_table(phi, Grid(args.T, args.N))
         cp = convolution_powers(kt, max(8, suggest_power_count(kt, 1.5)))
         rep = run_random_harness(kt, cp, args.seeds, master_seed=args.seed)
         counts = {
@@ -257,7 +252,7 @@ def cmd_gronwall(args) -> int:
         if kv:
             raise ValueError(f"unrecognized instance keys: {sorted(kv)}")
         grid = Grid(horizon, len(x) - 1)
-        kt = build_kernel_table(phi, grid, cfg)
+        kt = build_kernel_table(phi, grid)
         cp = convolution_powers(kt, max(8, suggest_power_count(kt, float(g.max()))))
         inst = GronwallInstance.build(grid, x, a, g)
         rep = check_instance(inst, kt, cp)
@@ -342,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="e.g. stable:0.5, tempered:0.5,1.0, mixture:0.3@0.4+0.7@0.8, "
             "or config:FILE",
         )
-        p.add_argument("--ilt", default="gs:16", help="inversion method, gs:ORDER or talbot:NODES")
         p.add_argument("--out", default=out_default,
                        help="output directory (default $GENFRAC_OUT or .)")
         p.add_argument("--T", type=float, default=1.0, help="time horizon")

@@ -455,14 +455,21 @@ def continuity_experiment_parameter(
     R: float,
 ) -> ContinuityReport:
     """Perturb the parameter and compare nodewise deviations with
-    lip_param * |dv| * U(t) * e(t; lip_state)."""
+    lip_param * |dv| * U(t) * e(t; lip_state).
+
+    One horizon serves every run: T' is the shortest of the horizons that
+    :func:`select_horizon` gives the problem at v0 and each perturbed
+    problem, so every run is confined to its ball on [0, T'].
+    """
     v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    problem = family.make(v0)
-    m = select_horizon(problem, kt, R)
-    U = kt.U_node[: m + 1]
+    deltas = [np.atleast_1d(np.asarray(delta, dtype=float)) for delta in deltas]
 
     def perturb(dvec):
         return family.make(v0 + dvec)
+
+    problem = family.make(v0)
+    m = min(select_horizon(p, kt, R) for p in (problem, *map(perturb, deltas)))
+    U = kt.U_node[: m + 1]
 
     def bound(dnorm, e):
         return family.lip_param * dnorm * (U * e)

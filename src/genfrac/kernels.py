@@ -39,7 +39,7 @@ import numpy as np
 from .bernstein import BernsteinFunction
 from .errors import KernelConsistencyError, NonconvergenceError
 from .grids import Grid, GridFunction, _require_grid
-from .laplace import DEFAULT_CONFIG, InversionConfig, invert_grid
+from .laplace import invert_grid
 
 __all__ = [
     "KernelTable",
@@ -112,11 +112,7 @@ def _kernel_table(grid: Grid, U: np.ndarray, V: np.ndarray, beta: float, c_assum
     )
 
 
-def build_kernel_table(
-    phi: BernsteinFunction,
-    grid: Grid,
-    cfg: InversionConfig = DEFAULT_CONFIG,
-) -> KernelTable:
+def build_kernel_table(phi: BernsteinFunction, grid: Grid) -> KernelTable:
     """Materialize u-cell masses, U, and the integrated jump tail."""
     t = grid.nodes
     U_closed = phi.potential_closed_form(t[1:])
@@ -124,14 +120,14 @@ def build_kernel_table(
         U = np.concatenate(([0.0], U_closed))
     else:
         transform = lambda z: 1.0 / (z * phi.phi(z))  # noqa: E731
-        U = np.concatenate(([0.0], invert_grid(transform, t[1:], cfg)))
+        U = np.concatenate(([0.0], invert_grid(transform, t[1:])))
 
     tail_int = phi.levy_tail_integral(t[1:])
     if tail_int is not None:
         Ntail = np.concatenate(([0.0], np.asarray(tail_int, dtype=float)))
     else:
         transform = lambda z: phi.phi(z) / z ** 2  # noqa: E731
-        Ntail = np.concatenate(([0.0], invert_grid(transform, t[1:], cfg)))
+        Ntail = np.concatenate(([0.0], invert_grid(transform, t[1:])))
     kt = _kernel_table(grid, U, np.diff(Ntail), phi.beta, phi.c_assump)
 
     # empirical check of the declared short-time envelope on (0, t0]

@@ -27,7 +27,7 @@ from .bernstein import BernsteinFunction
 from .errors import CancellationError, ConditioningWarning, TruncationError
 from .grids import Grid, GridFunction, _require_grid
 from .kernels import INTERIOR_FRAC, KernelTable, _caputo_values, _frac_integral_values
-from .laplace import DEFAULT_CONFIG, InversionConfig, abscissa_for_eigen, invert_grid
+from .laplace import abscissa_for_eigen, invert_grid
 from .mittag import mittag_leffler_tails
 
 __all__ = [
@@ -222,18 +222,16 @@ def _eigen_shift(phi: BernsteinFunction, lam: float) -> float:
     return 1.001 * abscissa_for_eigen(phi, lam)
 
 
-def phi_exp_laplace_curve(
-    phi: BernsteinFunction, lam: float, ts, cfg: InversionConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def phi_exp_laplace_curve(phi: BernsteinFunction, lam: float, ts) -> np.ndarray:
     """Laplace route at an array of positive times; for lam > 0 it inverts
     z -> F(z + c), c just past the pole phi^{-1}(lam), and multiplies by exp(c t)."""
     _require_finite(lam)
     shift = _eigen_shift(phi, lam)
     transform = _eigen_transform(phi, lam, 1e-8 * max(1.0, abs(lam)))
     if shift == 0.0:
-        return invert_grid(transform, ts, cfg)
+        return invert_grid(transform, ts)
     ts = np.asarray(ts, dtype=float)
-    return np.exp(shift * ts) * invert_grid(lambda z: transform(z + shift), ts, cfg)
+    return np.exp(shift * ts) * invert_grid(lambda z: transform(z + shift), ts)
 
 
 def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:

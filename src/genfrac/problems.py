@@ -139,7 +139,12 @@ def rhs_power(coef: float, exponent: float) -> RhsSpec:
 
 
 def rhs_table(table_t, table_v) -> RhsSpec:
-    """Pure time-dependent forcing interpolated from a table."""
+    """Pure time-dependent forcing, interpolated linearly from a table.
+
+    Outside [table_t[0], table_t[-1]] the forcing holds its end values
+    (``np.interp``); :func:`load_problem_file` therefore refuses a table
+    that does not span [0, T].
+    """
     ts = np.asarray(table_t, dtype=float)
     vs = np.asarray(table_v, dtype=float)
     if vs.ndim == 1:
@@ -200,7 +205,13 @@ def load_problem_file(path):
         elif kind == "power":
             spec = rhs_power(float(kv.pop("coef")), float(kv.pop("exponent")))
         elif kind == "table":
-            spec = rhs_table(_floats(kv.pop("table_t")), _floats(kv.pop("table_v")))
+            table_t = _floats(kv.pop("table_t"))
+            spec = rhs_table(table_t, _floats(kv.pop("table_v")))
+            if not (table_t[0] <= 0.0 and horizon <= table_t[-1]):
+                raise ValueError(
+                    f"table_t spans [{table_t[0]:g}, {table_t[-1]:g}], "
+                    f"which does not cover [0, T={horizon:g}]"
+                )
         else:
             raise ValueError(f"unknown rhs kind {kind!r}")
     except KeyError as exc:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from genfrac import (
     BernsteinFunction,
-    InversionConfig,
     invert_grid,
     load_phi_config,
     parse_phi_spec,
@@ -35,7 +34,7 @@ class TestEvalPhi:
 
     def test_custom_delegates(self):
         phi = BernsteinFunction.custom(
-            phi_eval=lambda lam: 1.0 - math.exp(-lam),
+            phi_eval=lambda lam: 1.0 - np.exp(-lam),
             levy_tail=lambda t: math.exp(-t),
             beta=0.5,
             c_assump=2.0,
@@ -54,21 +53,21 @@ class TestLevyTail:
         # independent route: invert phi(z)/z numerically
         phi = BernsteinFunction.stable(0.5)
         ts = [0.25, 1.0, 3.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
         for t, val in zip(ts, numeric):
             assert val == pytest.approx(phi.levy_tail(t), rel=1e-5)
 
     def test_tempered_vs_inversion(self):
         phi = BernsteinFunction.tempered(0.5, 1.0)
         ts = [0.1, 0.5, 2.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
         for t, val in zip(ts, numeric):
             assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
 
     def test_mixture_vs_inversion(self):
         phi = BernsteinFunction.mixture([0.3, 0.7], [0.4, 0.8])
         ts = [0.1, 1.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts, InversionConfig())
+        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
         for t, val in zip(ts, numeric):
             assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
 
@@ -167,6 +166,25 @@ class TestStructure:
                 levy_tail=lambda t: 0.0,
                 beta=0.5,
                 c_assump=1.0,
+                t0=1.0,
+            )
+
+
+    @pytest.mark.parametrize(
+        "phi_eval",
+        [lambda lam: 1.0 - math.exp(-lam),
+         lambda lam: np.sqrt(lam) if np.isrealobj(lam) else complex(math.nan, 0.0)],
+        ids=["raises", "non-finite"],
+    )
+    def test_custom_must_take_a_complex_argument(self, phi_eval):
+        # the inversion that builds a custom kind's kernels evaluates phi
+        # off the real axis
+        with pytest.raises(ValueError, match="complex"):
+            BernsteinFunction.custom(
+                phi_eval=phi_eval,
+                levy_tail=lambda t: math.exp(-t),
+                beta=0.5,
+                c_assump=2.0,
                 t0=1.0,
             )
 

@@ -59,6 +59,12 @@ class TestKernels:
         assert "usage error: horizon must be positive and finite" in capsys.readouterr().err
         assert not (out / "kernels.csv").exists()
 
+    def test_inversion_is_not_an_option(self, tmp_path):
+        # one inversion serves every kernel; there is nothing to select
+        with pytest.raises(SystemExit) as exit_info:
+            run(["kernels", "--phi", "tempered:0.5,1", "--ilt", "gs:16", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+
 
 class TestEigen:
     def test_series_laplace_agreement(self, tmp_path):

@@ -526,7 +526,8 @@ class TestContinuity:
         assert rep.rows[2]["ratio"] == 0.0
 
     def test_parameter_factor_is_certified_at_its_own_horizon(self, kt_stable_512):
-        # 28 powers certify e(t; 1.5) up to T' = t_178 but not up to T = 1
+        # 28 powers certify e(t; 1.5) up to T' = t_147, the horizon of
+        # v = -1.1, but not up to T = 1
         def make(v):
             return make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0)
 
@@ -541,6 +542,26 @@ class TestContinuity:
         m = int(round(rep.t_prime / kt_stable_512.grid.step))
         assert m < kt_stable_512.grid.cells
         assert rep.bound_factor == phi_exp_series(cp, 1.5, m)
+
+    def test_parameter_horizon_covers_every_perturbation(self, stable_half):
+        # F = -y + v from v0 = 0: the horizon of v0 alone is T' = 0.5, on
+        # which the run at v = 10 left its ball at the first iteration; the
+        # shared T' is now the horizon of v = 10, and every run is confined
+        from genfrac import rhs_affine, select_horizon
+
+        kt = build_kernel_table(stable_half, Grid(1.0, 128))
+        cp = convolution_powers(kt, suggest_power_count(kt, 1.0))
+
+        def make(v):
+            return make_problem(rhs_affine([[-1.0]], [float(v[0])]), [0.5], 1.0)
+
+        family = ParamFamily(make=make, lip_param=1.0, lip_state=1.0)
+        assert kt.grid.nodes[select_horizon(make([0.0]), kt, 2.0)] == 0.5
+        rep = continuity_experiment_parameter(
+            family, kt, cp, v0=[0.0], deltas=[0.05, 1.0, 3.0, 10.0], R=2.0
+        )
+        assert rep.ok
+        assert rep.t_prime == kt.grid.nodes[select_horizon(make([10.0]), kt, 2.0)] < 0.5
 
     def test_parameter_affine_family(self, kt_stable_512, cp_stable_512):
         from genfrac import rhs_affine

@@ -8,7 +8,6 @@ from scipy.special import gammaln
 from genfrac import (
     CancellationError,
     GridFunction,
-    InversionConfig,
     TruncationError,
     convolution_powers,
     eigen_residual,
@@ -244,7 +243,7 @@ class TestSeriesRoute:
         [
             ("stable:0.5", -1.0, 32),
             ("stable:0.5", 1.0, 28),
-            ("tempered:0.5,1", -1.0, 114),
+            ("tempered:0.5,1", -1.0, 113),
             ("tempered:0.5,1", 1.0, 107),
             ("mixture:0.3@0.4+0.7@0.8", -1.0, 24),
             ("mixture:0.3@0.4+0.7@0.8", 1.0, 21),
@@ -270,10 +269,6 @@ class TestSeriesRoute:
 class TestLaplaceRoute:
     def test_zero_eigenvalue(self, stable_half):
         got = phi_exp_laplace_curve(stable_half, 0.0, [3.0])
-        assert got[0] == pytest.approx(1.0, abs=1e-7)
-        got = phi_exp_laplace_curve(
-            stable_half, 0.0, [3.0], InversionConfig(method="talbot")
-        )
         assert got[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_stable_positive_eigenvalue(self, stable_half):

@@ -126,3 +126,24 @@ def test_load_problem_file_errors(tmp_path):
     path.write_text("d = 1\nf0 = 0.4\nT = 1.0\nR = 1.0\nrhs = zero\nextra = 2\n")
     with pytest.raises(ValueError, match="unrecognized"):
         load_problem_file(path)
+
+
+@pytest.mark.parametrize(
+    "table_t, ok",
+    [("0,0.5,1", True), ("-1,2", True), ("0.2,0.4", False), ("0,0.5", False),
+     ("0.1,1", False)],
+)
+def test_load_problem_file_table_must_span_the_horizon(tmp_path, table_t, ok):
+    # outside its range the table holds its end values: a table of 0.2, 0.4
+    # gave F = 1, 1, 1.5, 2, 2 at t = 0, 0.1, 0.3, 0.7, 1 without a word
+    path = tmp_path / "p.kv"
+    values = ",".join("1" for _ in table_t.split(","))
+    path.write_text(
+        f"d = 1\nf0 = 0.0\nT = 1.0\nR = 1.0\nrhs = table\ntable_t = {table_t}\n"
+        f"table_v = {values}\n"
+    )
+    if ok:
+        assert load_problem_file(path)[0].spec.label == "table"
+    else:
+        with pytest.raises(ValueError, match=r"does not cover \[0, T=1\]"):
+            load_problem_file(path)
