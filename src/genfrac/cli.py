@@ -3,7 +3,9 @@
 Every command but ``catalog`` writes, through :func:`_emit`, CSV curves, a
 JSON report that lists every resolved setting (no silent defaults), and a
 manifest whose hash covers the full configuration minus the output
-directory; identical manifests reproduce byte-identical CSV bodies.
+directory; identical manifests reproduce byte-identical CSV bodies.  The
+configuration holds what every input file held, not only its path, and the
+manifest records the grid that ran.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -81,7 +83,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _manifest(out: Path, command: str, config: dict, seed=None) -> None:
+def _manifest(out: Path, command: str, config: dict, grid, seed=None) -> None:
     # the output directory has no bearing on the numbers produced
     hashed = {k: v for k, v in config.items() if k != "out"}
     body = json.dumps(hashed, sort_keys=True, default=str)
@@ -89,7 +91,7 @@ def _manifest(out: Path, command: str, config: dict, seed=None) -> None:
         "command": command,
         "config_hash": hashlib.sha256(body.encode()).hexdigest(),
         "phi_spec": config.get("phi"),
-        "grid": {"T": config.get("T"), "N": config.get("N")},
+        "grid": None if grid is None else {"T": grid.horizon, "N": grid.cells},
         "seed": seed,
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -97,21 +99,24 @@ def _manifest(out: Path, command: str, config: dict, seed=None) -> None:
     _write_json(out / f"{command}_manifest.json", manifest)
 
 
-def _emit(args, write_csv, report: dict, seed=None, **extra) -> Path:
+def _emit(args, phi, grid, write_csv, report: dict, seed=None, **extra) -> Path:
     """The one output path of every command that writes files.
 
     In ``args.out`` it writes ``<command>.csv`` through ``write_csv(path)``,
     ``<command>_report.json`` as ``{"config": config} | report`` and the
     manifest, where ``config`` is every parsed option except ``func``
-    (``command`` among them) plus ``extra``.  Returns the CSV path.
+    (``command`` among them), ``phi_meta = phi.describe()`` and ``extra``.
+    The manifest records ``grid``, the grid that ran (None where none did).
+    Returns the CSV path.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {k: v for k, v in vars(args).items() if k != "func"} | extra
+    config = {k: v for k, v in vars(args).items() if k != "func"}
+    config |= {"phi_meta": phi.describe()} | extra
     csv_path = out / f"{args.command}.csv"
     write_csv(csv_path)
     _write_json(out / f"{args.command}_report.json", {"config": config} | report)
-    _manifest(out, args.command, config, seed)
+    _manifest(out, args.command, config, grid, seed)
     return csv_path
 
 
@@ -144,7 +149,7 @@ def cmd_kernels(args) -> int:
         "c_env_U": kt.c_env_U,
         "U_at_T": kt.U_node[-1],
     }
-    path = _emit(args, partial(kernel_table_to_csv, kt), report)
+    path = _emit(args, phi, grid, partial(kernel_table_to_csv, kt), report)
     print(f"kernels: wrote {path} (c_fit={kt.c_fit:.6g})")
     return 0
 
@@ -187,7 +192,7 @@ def cmd_eigen(args) -> int:
         f"max_abs_delta_{k}": float(np.nanmax(np.abs(d))) for k, d in deltas.items()
     }
     seed = args.seed if "mc" in methods else None
-    path = _emit(args, partial(_write_csv, header=header, rows=rows), report, seed)
+    path = _emit(args, phi, grid, partial(_write_csv, header=header, rows=rows), report, seed)
     print(f"eigen: wrote {path} with methods {names}")
     return 0
 
@@ -214,7 +219,8 @@ def cmd_solve(args) -> int:
         "holder_estimate": l_est,
     }
     path = _emit(
-        args, partial(_write_csv, header=header, rows=rows), report, problem_meta=meta
+        args, phi, grid, partial(_write_csv, header=header, rows=rows), report,
+        problem_meta=meta,
     )
     print(
         f"solve: {len(states)} segment(s), T'={states[0].t_prime:.6g}, "
@@ -226,10 +232,11 @@ def cmd_solve(args) -> int:
 def cmd_gronwall(args) -> int:
     phi = _phi_from_arg(args.phi)
 
+    extra = {}
     if args.random:
-        kt = build_kernel_table(phi, Grid(args.T, args.N))
-        cp = convolution_powers(kt, max(8, suggest_power_count(kt, 1.5)))
-        rep = run_random_harness(kt, cp, args.seeds, master_seed=args.seed)
+        grid = Grid(args.T, args.N)
+        kt = build_kernel_table(phi, grid)
+        rep = run_random_harness(kt, args.seeds, master_seed=args.seed)
         counts = {
             "instances": rep.n_instances,
             "certificate_failures": rep.n_certificate_failures,
@@ -244,6 +251,7 @@ def cmd_gronwall(args) -> int:
         seed, summary = args.seed, f"{rep.n_instances} instances"
     else:
         kv = read_kv_file(args.instance)
+        extra["instance_meta"] = dict(kv)
         try:
             horizon = float(kv.pop("t"))
             x, a, g = (np.asarray([float(v) for v in kv.pop(key).split(",")]) for key in "xag")
@@ -253,9 +261,8 @@ def cmd_gronwall(args) -> int:
             raise ValueError(f"unrecognized instance keys: {sorted(kv)}")
         grid = Grid(horizon, len(x) - 1)
         kt = build_kernel_table(phi, grid)
-        cp = convolution_powers(kt, max(8, suggest_power_count(kt, float(g.max()))))
         inst = GronwallInstance.build(grid, x, a, g)
-        rep = check_instance(inst, kt, cp)
+        rep = check_instance(inst, kt)
         header = ["t", "x", "series_bound", "ml_bound", "slack"]
         rows = np.column_stack([grid.nodes, inst.x.scalar(), rep.series, rep.ml, rep.slack])
         report = {
@@ -267,7 +274,7 @@ def cmd_gronwall(args) -> int:
             "ok": rep.ok,
         }
         seed, summary = None, "instance"
-    _emit(args, partial(_write_csv, header=header, rows=rows), report, seed)
+    _emit(args, phi, grid, partial(_write_csv, header=header, rows=rows), report, seed, **extra)
     print(f"gronwall: {summary} ok={rep.ok}")
     return 0 if rep.ok else 1
 
@@ -312,7 +319,7 @@ def cmd_mc(args) -> int:
         raise ValueError(f"unknown estimate kind {kind!r} (use U|phiexp|moments|laplace)")
 
     report = {"rows": len(rows)}
-    path = _emit(args, partial(_write_csv, header=header, rows=rows), report, args.seed)
+    path = _emit(args, phi, None, partial(_write_csv, header=header, rows=rows), report, args.seed)
     print(f"mc: wrote {path} ({len(rows)} row(s))")
     return 0
 
@@ -331,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     out_default = os.environ.get("GENFRAC_OUT", ".")
 
-    def common(p):
+    def common(p, horizon=True):
         p.add_argument(
             "--phi", required=True,
             help="e.g. stable:0.5, tempered:0.5,1.0, mixture:0.3@0.4+0.7@0.8, "
@@ -339,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=out_default,
                        help="output directory (default $GENFRAC_OUT or .)")
-        p.add_argument("--T", type=float, default=1.0, help="time horizon")
+        if horizon:
+            p.add_argument("--T", type=float, default=1.0, help="time horizon")
         p.add_argument("--N", type=int, default=1024, help="grid cells")
 
     p = sub.add_parser("catalog", help="list catalog kinds or describe one")
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("solve", help="solve a problem file by Picard marching")
-    common(p)
+    common(p, horizon=False)  # the problem file owns T
     p.add_argument("--problem", required=True, help="key-value problem file")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=200)

@@ -13,7 +13,9 @@ is nondecreasing:
   majorizes every series term).  On the uniform grid the cell weight and
   the argument depend on the lag i-1-j alone, so the envelope is K history
   sums, one per power of E'_beta, through the history-sum primitive;
-* monotone: a(t) * e(t; g(T)) with the eigenfunction series.
+* monotone: a(t) * e(t; g(T)), e = 1 + g(T) * I[e] solved as the series.
+
+The envelope and the monotone form refuse a g that is not nondecreasing.
 
 ``check_instance`` verifies the chain nodewise with an explicit numerical
 slack: bounds that hold in exact arithmetic can cross by the product-
@@ -33,7 +35,7 @@ from scipy.special import gamma as _gamma
 from .grids import Grid, GridFunction, _require_grid
 from .kernels import KernelTable, _conv_prefix, _frac_integral_values, _resolvent_solve
 from .mittag import derivative_log_terms
-from .phiexp import ConvolutionPowers, _require_table, _series, phi_exp_series_curve
+from .phiexp import ConvolutionPowers, _require_table
 from .problems import IvpProblem
 from .solver import _horizon_index, picard_solve, select_horizon
 
@@ -75,10 +77,13 @@ def _nondecreasing(v: np.ndarray) -> bool:
 
 
 def _g_values(g: GridFunction) -> np.ndarray:
-    """g at the nodes, refused with ValueError unless :func:`_nonneg`, clipped at 0."""
+    """g at the nodes, refused with ValueError unless :func:`_nonneg` and
+    :func:`_nondecreasing`, clipped at 0."""
     gv = g.scalar()
     if not _nonneg(gv):
         raise ValueError("the bounds require g >= 0")
+    if not _nondecreasing(gv):
+        raise ValueError("the bounds require a nondecreasing g")
     return np.maximum(gv, 0.0)
 
 
@@ -150,8 +155,9 @@ def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
     of E'_beta at z_max = g_max * zeta_(N-1), and the columns are formed in
     log space and summed in slabs.
 
-    Refuses with ValueError g < -1e-12, clipping g at 0, and a z_max outside
-    the derivative's domain (see :func:`genfrac.mittag.derivative_log_terms`).
+    Refuses with ValueError g < -1e-12, clipping g at 0, a g that is not
+    nondecreasing, and a z_max outside the derivative's domain (see
+    :func:`genfrac.mittag.derivative_log_terms`).
     """
     _require_grid(kt.grid, g, a)
     gv = _g_values(g)
@@ -180,14 +186,14 @@ def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
     return GridFunction(kt.grid, out)
 
 
-def monotone_bound(cp: ConvolutionPowers, g: GridFunction, a: GridFunction) -> GridFunction:
-    """a(t) * e(t; g(T)); requires a nondecreasing and g >= 0 as ml_bound does."""
-    _require_grid(cp.grid, g, a)
+def monotone_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
+    """a(t) * e(t; g(T)), e = 1 + g(T) * I[e] on the grid; a nondecreasing, g as ml_bound."""
+    _require_grid(kt.grid, g, a)
     av = a.scalar()
     if not _nondecreasing(av):
         raise ValueError("monotone bound requires a nondecreasing a")
-    curve = phi_exp_series_curve(cp, float(_g_values(g)[-1]))
-    return GridFunction(cp.grid, av * curve)
+    e = _resolvent_solve(kt.u_cell, np.ones_like(a.values), np.full(av.shape, _g_values(g)[-1]))
+    return GridFunction(kt.grid, av * e[:, 0])
 
 
 def _quadrature_slack(kt: KernelTable, g: GridFunction, ref: np.ndarray) -> np.ndarray:
@@ -227,10 +233,11 @@ class InstanceReport:
 def check_instance(
     inst: GronwallInstance,
     kt: KernelTable,
-    cp: ConvolutionPowers,
+    cp: Optional[ConvolutionPowers] = None,
 ) -> InstanceReport:
     """Verify x <= series <= envelope (and the monotone form when
-    applicable) within 1e-8 plus twice the quadrature-error estimate."""
+    applicable) within 1e-8 plus twice the quadrature-error estimate.  ``cp``
+    is only checked by :func:`_require_table`; ROADMAP 1(c) deletes it after 1(b)."""
     inst.require_valid()
     _require_table(kt, cp)
     _require_grid(kt.grid, inst)
@@ -249,7 +256,7 @@ def check_instance(
 
     monotone = margin_mono = ok_mono = None
     if inst.a_nondecreasing:
-        monotone = monotone_bound(cp, inst.g, inst.a).scalar()
+        monotone = monotone_bound(kt, inst.g, inst.a).scalar()
         margin_mono = monotone - xv
         ok_mono = bool(np.all(margin_mono >= -slack))
 
@@ -322,7 +329,6 @@ class HarnessReport:
 
 def run_random_harness(
     kt: KernelTable,
-    cp: ConvolutionPowers,
     n_instances: int,
     master_seed: int = 0,
 ) -> HarnessReport:
@@ -335,7 +341,7 @@ def run_random_harness(
     worst_order = math.inf
     for ss in seeds:
         inst = random_instance(kt, np.random.default_rng(ss))
-        rep = check_instance(inst, kt, cp)
+        rep = check_instance(inst, kt)
         cert += 0 if rep.certificate_ok else 1
         series_v += 0 if rep.ok_series else 1
         order_v += 0 if rep.ok_order else 1
@@ -371,16 +377,15 @@ _CONTINUITY_SLACK = 0.05
 _CONTINUITY_TOL = 1e-10
 
 
-def _perturbation_report(problem, perturb, kt, cp, R, m, lam, deltas, bound) -> ContinuityReport:
+def _perturbation_report(problem, perturb, kt, R, m, lam, deltas, bound) -> ContinuityReport:
     """Solve ``problem`` and ``perturb(delta)`` for every delta on nodes
     0..m and compare the nodewise deviations with ``bound(|delta|, e)``,
-    e = e(t_i; lam) for i = 0..m by the series certified at t_m (else
-    TruncationError), plus the quadrature and Picard allowances."""
-    _require_table(kt, cp)
+    e = e(t_i; lam) for i = 0..m the grid solution of e = 1 + lam * I[e]
+    over the first m cells, plus the quadrature and Picard allowances."""
     deltas = list(deltas)
     if not deltas:
         raise ValueError("deltas must not be empty")
-    e_curve = _series(cp, lam, 0, m + 1)
+    e_curve = _resolvent_solve(kt.u_cell[:m], np.ones((m + 1, 1)), np.full(m + 1, lam))[:, 0]
     base, _ = picard_solve(problem, kt, R, tol=_CONTINUITY_TOL, horizon_index=m)
     rows = []
     for delta in deltas:
@@ -406,7 +411,7 @@ def _perturbation_report(problem, perturb, kt, cp, R, m, lam, deltas, bound) -> 
 def continuity_experiment_initial(
     problem: IvpProblem,
     kt: KernelTable,
-    cp: ConvolutionPowers,
+    cp: Optional[ConvolutionPowers],
     R: float,
     deltas,
 ) -> ContinuityReport:
@@ -415,8 +420,10 @@ def continuity_experiment_initial(
 
     All perturbations must stay inside the unit ball around f0 so one
     horizon serves every run (the ball radius 1 matches the enlarged
-    local-bound radius R + 1 + |f0| used to select it).
+    local-bound radius R + 1 + |f0| used to select it).  ``cp`` is only
+    checked by :func:`_require_table`; ROADMAP 1(c) deletes it after 1(b).
     """
+    _require_table(kt, cp)
     deltas = [np.atleast_1d(np.asarray(delta, dtype=float)) for delta in deltas]
     if any(np.linalg.norm(dvec) > 1.0 for dvec in deltas):
         raise ValueError("perturbations must stay inside the unit ball")
@@ -427,7 +434,7 @@ def continuity_experiment_initial(
     def perturb(dvec):
         return replace(problem, f0=problem.f0 + dvec)
 
-    return _perturbation_report(problem, perturb, kt, cp, R, m, L, deltas, lambda d, e: d * e[-1])
+    return _perturbation_report(problem, perturb, kt, R, m, L, deltas, lambda d, e: d * e[-1])
 
 
 @dataclass
@@ -449,7 +456,6 @@ class ParamFamily:
 def continuity_experiment_parameter(
     family: ParamFamily,
     kt: KernelTable,
-    cp: ConvolutionPowers,
     v0,
     deltas,
     R: float,
@@ -474,4 +480,4 @@ def continuity_experiment_parameter(
     def bound(dnorm, e):
         return family.lip_param * dnorm * (U * e)
 
-    return _perturbation_report(problem, perturb, kt, cp, R, m, family.lip_state, deltas, bound)
+    return _perturbation_report(problem, perturb, kt, R, m, family.lip_state, deltas, bound)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinFunction
-from .errors import KernelConsistencyError, NonconvergenceError
+from .errors import KernelConsistencyError, NonconvergenceError, NumericalError
 from .grids import Grid, GridFunction, _require_grid
 from .laplace import invert_grid
 
@@ -246,6 +246,7 @@ def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
     series of the system diverges, max|g_i| W_0/2 >= 1 or rho(g) W_0/2 >= 1
     for a matrix (the spectral radius of a lower-triangular operator is its
     largest diagonal entry), the solve is refused with NonconvergenceError.
+    A solution that overflows below that threshold raises NumericalError.
     """
     if not (np.isfinite(b).all() and np.isfinite(g).all()):
         raise ValueError("the resolvent solve needs finite b and g")
@@ -277,17 +278,20 @@ def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
         inv = inv.transpose(0, 2, 1, 3).reshape(k * d, k * d)
     x = np.empty_like(b, dtype=float)
     x[0] = b[0]
-    for s in range(1, n + 1, k):
-        e = min(s + k, n + 1)
-        w = e - s
-        hist = 0.5 * u_cell[s - 1 : e - 1, None] * x[0]
-        if s > 1:
-            hist += _conv_prefix(c, x[1:s], s - 1, e - 1)
-        if scalar:
-            A = np.eye(w) - g[s:e, None] * T[:w, :w]
-            x[s:e] = np.linalg.solve(A, b[s:e] + g[s:e, None] * hist)
-        else:
-            x[s:e] = (inv[: w * d, : w * d] @ (b[s:e] + hist @ g.T).ravel()).reshape(w, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for s in range(1, n + 1, k):
+            e = min(s + k, n + 1)
+            w = e - s
+            hist = 0.5 * u_cell[s - 1 : e - 1, None] * x[0]
+            if s > 1:
+                hist += _conv_prefix(c, x[1:s], s - 1, e - 1)
+            if scalar:
+                A = np.eye(w) - g[s:e, None] * T[:w, :w]
+                x[s:e] = np.linalg.solve(A, b[s:e] + g[s:e, None] * hist)
+            else:
+                x[s:e] = (inv[: w * d, : w * d] @ (b[s:e] + hist @ g.T).ravel()).reshape(w, d)
+    if not np.isfinite(x).all():
+        raise NumericalError("the resolvent solution overflowed; shorten the horizon or reduce g")
     return x
 
 

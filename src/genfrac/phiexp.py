@@ -76,9 +76,9 @@ def convolution_powers(kt: KernelTable, k_max: int) -> ConvolutionPowers:
     return ConvolutionPowers(kt, u)
 
 
-def _require_table(kt: KernelTable, cp: ConvolutionPowers) -> None:
-    """Refuse powers built from any table but ``kt`` itself."""
-    if cp.table is not kt:
+def _require_table(kt: KernelTable, cp: ConvolutionPowers | None) -> None:
+    """Refuse powers built from any table but ``kt`` itself; None passes."""
+    if cp is not None and cp.table is not kt:
         raise ValueError("convolution powers were built from another kernel table")
 
 

@@ -182,8 +182,10 @@ def _floats(text: str) -> list:
 
 
 def load_problem_file(path):
-    """Returns (IvpProblem, R, metadata dict)."""
+    """Returns (IvpProblem, R, metadata dict); the metadata is every
+    key-value pair of the file as read."""
     kv = read_kv_file(path)
+    meta = dict(kv)
     try:
         dim = int(kv.pop("d", "1"))
         f0 = _floats(kv.pop("f0"))
@@ -221,5 +223,4 @@ def load_problem_file(path):
     if spec.dim != dim:
         raise ValueError(f"rhs {kind!r} has dimension {spec.dim}, file says {dim}")
     problem = make_problem(spec, f0, horizon)
-    meta = {"rhs": kind, "d": dim, "T": horizon, "R": radius, "f0": f0}
     return problem, radius, meta

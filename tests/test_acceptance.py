@@ -167,8 +167,7 @@ def test_c04_gronwall_bound_chain():
 
         phi = parse_phi_spec(spec)
         kt = build_kernel_table(phi, harness_n)
-        cp = convolution_powers(kt, suggest_power_count(kt, 1.5))
-        rep = run_random_harness(kt, cp, 100, master_seed=2026)
+        rep = run_random_harness(kt, 100, master_seed=2026)
         assert rep.ok, f"{spec}: {rep}"
 
     phi = BernsteinFunction.stable(0.5)
@@ -356,7 +355,7 @@ def test_c09_continuity_experiments():
 
     family = ParamFamily(make=make_eigen, lip_param=1.0, lip_state=1.5)
     rep = continuity_experiment_parameter(
-        family, kt, cp, v0=[-1.0], deltas=[0.1, -0.1, 0.05], R=2.0
+        family, kt, v0=[-1.0], deltas=[0.1, -0.1, 0.05], R=2.0
     )
     assert rep.ok, rep.rows
 
@@ -365,7 +364,7 @@ def test_c09_continuity_experiments():
 
     family = ParamFamily(make=make_affine, lip_param=1.0, lip_state=1.0)
     rep = continuity_experiment_parameter(
-        family, kt, cp, v0=[0.0], deltas=[0.05, -0.05], R=2.0
+        family, kt, v0=[0.0], deltas=[0.05, -0.05], R=2.0
     )
     assert rep.ok, rep.rows
 

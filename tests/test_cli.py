@@ -11,6 +11,10 @@ import genfrac
 from genfrac.cli import build_parser, main
 
 
+#: 64 comma-separated ones, the tail of a 65-node instance column
+ONES = ",".join("1.0" for _ in range(64))
+
+
 def run(args):
     return main(args)
 
@@ -260,6 +264,17 @@ class TestGronwall:
             ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(out)]
         ) == 1
 
+    def test_resolvent_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # g = 26 on 256 cells keeps the diagonal weight below 1, but the
+        # resolvent solution overflows before t = 1
+        ones, g = (",".join(v for _ in range(257)) for v in ("1.0", "26.0"))
+        path = tmp_path / "inst.kv"
+        path.write_text(f"t = 1.0\nx = {ones}\na = {ones}\ng = {g}\n")
+        assert run(
+            ["gronwall", "--phi", "stable:0.5", "--instance", str(path), "--out", str(tmp_path)]
+        ) == 1
+        assert "numerical failure: the resolvent solution overflowed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("missing", ["t", "x", "a", "g"])
     def test_instance_missing_key_is_usage_error(self, tmp_path, capsys, missing):
         values = ",".join("1.0" for _ in range(65))
@@ -418,13 +433,68 @@ class TestOutputs:
             parsed = vars(build_parser().parse_args(argv + ["--out", str(out)]))
             parsed.pop("func")
             config = json.loads((out / f"{command}_report.json").read_text())["config"]
-            extra = {"problem_meta"} if command == "solve" else set()
+            extra = {"phi_meta"}
+            if command == "solve":
+                extra.add("problem_meta")
+            if "--instance" in argv:
+                extra.add("instance_meta")
             assert set(config) == set(parsed) | extra
             assert config["command"] == command
             assert all(config[k] == v for k, v in parsed.items())
             assert (out / f"{command}.csv").exists()
             hashes.append(json.loads((out / f"{command}_manifest.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize(
+        "name, texts, argv",
+        [
+            ("p.kv",
+             ["d = 1\nf0 = 0.4\nT = 1.0\nR = 0.5\nrhs = logistic\nrate = 1.0\n",
+              "d = 1\nf0 = 0.4\nT = 1.0\nR = 0.5\nrhs = logistic\nrate = 1.1\n"],
+             ["solve", "--phi", "stable:0.5", "--problem", "FILE", "--N", "64"]),
+            ("inst.kv",
+             [f"t = 1.0\nx = 0.5,{ONES}\na = 1.0,{ONES}\ng = 1.0,{ONES}\n",
+              f"t = 1.0\nx = 0.5,{ONES}\na = 1.0,{ONES}\ng = {ONES},1.1\n"],
+             ["gronwall", "--phi", "stable:0.5", "--instance", "FILE"]),
+            ("phi.cfg",
+             ["kind = stable\nalpha = 0.5\n", "kind = stable\nalpha = 0.6\n"],
+             ["kernels", "--phi", "config:FILE", "--N", "32"]),
+        ],
+        ids=["solve-problem", "gronwall-instance", "phi-config"],
+    )
+    def test_hash_covers_what_was_read(self, tmp_path, name, texts, argv):
+        # one path, two contents: the hash follows the contents
+        path = tmp_path / name
+        argv = [a.replace("FILE", str(path)) for a in argv]
+        hashes = []
+        for k, text in enumerate(texts):
+            path.write_text(text)
+            out = tmp_path / f"out{k}"
+            assert run(argv + ["--out", str(out)]) == 0
+            hashes.append(json.loads((out / f"{argv[0]}_manifest.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]
+
+    def test_manifest_records_the_grid_that_ran(self, tmp_path):
+        problem = tmp_path / "p.kv"
+        problem.write_text("d = 1\nf0 = 1.0\nT = 0.5\nR = 2.0\nrhs = linear\nmatrix = -1.0\n")
+        instance = tmp_path / "inst.kv"
+        instance.write_text(f"t = 2.0\nx = 0.5,{ONES}\na = 1.0,{ONES}\ng = 1.0,{ONES}\n")
+        for argv, grid in (
+            (["solve", "--phi", "stable:0.5", "--problem", str(problem), "--N", "64"],
+             {"T": 0.5, "N": 64}),
+            (["gronwall", "--phi", "stable:0.5", "--instance", str(instance)],
+             {"T": 2.0, "N": 64}),
+        ):
+            out = tmp_path / argv[0]
+            assert run(argv + ["--out", str(out)]) == 0
+            assert json.loads((out / f"{argv[0]}_manifest.json").read_text())["grid"] == grid
+
+    def test_solve_refuses_a_horizon(self, tmp_path, problem_file):
+        # the problem file owns T
+        with pytest.raises(SystemExit) as exit_info:
+            run(["solve", "--phi", "stable:0.5", "--problem", str(problem_file), "--T", "3",
+                 "--N", "64", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
 
 
 class TestReproducibility:

@@ -54,7 +54,7 @@ def _one(kt):
         lambda kt, cp, f: apply_B(kt, _one(kt), f),
         lambda kt, cp, f: series_bound(kt, f, _one(kt)),
         lambda kt, cp, f: ml_bound(kt, _one(kt), f),
-        lambda kt, cp, f: monotone_bound(cp, f, _one(kt)),
+        lambda kt, cp, f: monotone_bound(kt, f, _one(kt)),
         lambda kt, cp, f: GronwallInstance.build(kt.grid, f, _one(kt), _one(kt)),
         lambda kt, cp, f: check_instance(GronwallInstance.build(f.grid, f, f, f), kt, cp),
     ],
