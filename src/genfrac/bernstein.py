@@ -1,19 +1,20 @@
 """Bernstein functions described by their Levy-Khintchine data.
 
 A Bernstein function ``phi`` is represented here through closed-form
-catalog entries (stable, tempered stable, stable mixtures) or through
-user-supplied callables.  The catalog carries everything the rest of the
-toolkit consumes: the value ``phi(lam)``, the jump-measure tail
-``nubar(t)``, its integral, and the short-time envelope parameters
-``(beta, c_assump, t0)`` with ``u(t) <= c_assump * t**(beta-1)`` on
-``(0, t0)``.
+catalog entries (stable, tempered stable, stable mixtures) or through a
+user-supplied callable.  The catalog carries what the rest of the toolkit
+reads: the value ``phi(lam)``, the integral of the jump-measure tail
+``int_0^t nubar(s) ds`` in closed form where one exists, and the
+short-time exponent ``beta`` of ``u(t) ~ t**(beta-1)``.  The constant in
+front of that power is not declared here: each kernel table fits it on
+its own grid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,8 +37,7 @@ class BernsteinFunction:
     Use the constructors :meth:`stable`, :meth:`tempered`, :meth:`mixture`
     or :meth:`custom`; the bare dataclass constructor performs no
     parameter derivation.  Every construction, ``dataclasses.replace``
-    included, checks the envelope data: 0 < beta < 1, 0 < c_assump < inf
-    and t0 > 0 (t0 = inf for an envelope that holds on all of (0, inf)).
+    included, checks the short-time exponent: 0 < beta < 1.
     """
 
     kind: str
@@ -46,19 +46,12 @@ class BernsteinFunction:
     weights: Optional[tuple] = None
     alphas: Optional[tuple] = None
     phi_fn: Optional[Callable] = None
-    tail_fn: Optional[Callable] = None
     beta: float = 0.5
-    c_assump: float = 1.0
-    t0: float = 1.0
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
-        if not 0 < self.c_assump < math.inf:
-            raise ValueError(f"c_assump must be positive and finite, got {self.c_assump}")
-        if not self.t0 > 0:
-            raise ValueError(f"t0 must be positive, got {self.t0}")
 
     # -- constructors -----------------------------------------------------
 
@@ -70,8 +63,6 @@ class BernsteinFunction:
             kind="stable",
             alpha=float(alpha),
             beta=float(alpha),
-            c_assump=1.0 / _gamma(alpha),
-            t0=math.inf,
             label=f"stable:{alpha:g}",
         )
 
@@ -81,14 +72,11 @@ class BernsteinFunction:
         _check_alpha(alpha)
         if not 0 < theta < math.inf:
             raise ValueError(f"theta must be positive and finite, got {theta}")
-        t0 = min(1.0, 1.0 / theta)
         return cls(
             kind="tempered",
             alpha=float(alpha),
             theta=float(theta),
             beta=float(alpha),
-            c_assump=_tempered_envelope_constant(alpha, theta * t0),
-            t0=t0,
             label=f"tempered:{alpha:g},{theta:g}",
         )
 
@@ -103,49 +91,23 @@ class BernsteinFunction:
             raise ValueError(f"mixture weights must be positive and finite, got {weights}")
         for a in alphas:
             _check_alpha(a)
-        # Near t=0 the largest exponent dominates the kernel.
-        j = int(np.argmax(alphas))
         label = "mixture:" + "+".join(f"{w:g}@{a:g}" for w, a in zip(weights, alphas))
-        return cls(
-            kind="mixture",
-            weights=weights,
-            alphas=alphas,
-            beta=alphas[j],
-            c_assump=2.0 / (weights[j] * _gamma(alphas[j])),
-            t0=1.0,
-            label=label,
-        )
+        # Near t=0 the largest exponent dominates the kernel.
+        return cls(kind="mixture", weights=weights, alphas=alphas, beta=max(alphas), label=label)
 
     @classmethod
-    def custom(
-        cls,
-        phi_eval: Callable,
-        levy_tail: Callable,
-        beta: float,
-        c_assump: float,
-        t0: float,
-        check: bool = True,
-        label: str = "custom",
-    ) -> "BernsteinFunction":
-        """Wrap user callables; the envelope data (beta, c_assump, t0) is a
-        caller contract and is only spot-checked, never inferred.
+    def custom(cls, phi_eval: Callable, beta: float, label: str = "custom") -> "BernsteinFunction":
+        """Wrap a user callable; the short-time exponent ``beta`` is a caller
+        contract, never inferred.
 
-        ``phi_eval`` must take a complex argument and return a finite value
-        there, because the kernels of a custom kind come from Laplace
-        inversion, which evaluates phi off the real axis; one that cannot
-        is refused with ``ValueError``.
+        ``phi_eval`` is spot-checked to be nonnegative and nondecreasing on
+        a real test grid.  It must also take a complex argument and return
+        a finite value there, because the kernels of a custom kind come
+        from Laplace inversion, which evaluates phi off the real axis.
+        Either failure is refused with ``ValueError``.
         """
-        obj = cls(
-            kind="custom",
-            phi_fn=phi_eval,
-            tail_fn=levy_tail,
-            beta=float(beta),
-            c_assump=float(c_assump),
-            t0=float(t0),
-            label=label,
-        )
-        if check:
-            _spot_check_monotone(obj)
+        obj = cls(kind="custom", phi_fn=phi_eval, beta=float(beta), label=label)
+        _spot_check_monotone(obj)
         _require_complex_argument(obj)
         return obj
 
@@ -169,25 +131,6 @@ class BernsteinFunction:
             with np.errstate(invalid="ignore"):
                 return sum(w * np.exp(a * log_lam) for w, a in zip(self.weights, self.alphas))
         return self.phi_fn(lam)
-
-    def levy_tail(self, t):
-        """Tail mass nubar(t) of the jump measure; scalar or array t > 0."""
-        t = np.asarray(t, dtype=float) if np.ndim(t) else t
-        if self.kind == "stable":
-            return t ** (-self.alpha) / _gamma(1.0 - self.alpha)
-        if self.kind == "tempered":
-            a, th = self.alpha, self.theta
-            x = th * t
-            return t ** (-a) * np.exp(-x) / _gamma(1.0 - a) - th ** a * gammaincc(1.0 - a, x)
-        if self.kind == "mixture":
-            acc = None
-            for w, a in zip(self.weights, self.alphas):
-                term = w * t ** (-a) / _gamma(1.0 - a)
-                acc = term if acc is None else acc + term
-            return acc
-        if np.ndim(t):
-            return np.asarray([self.tail_fn(float(s)) for s in np.ravel(t)]).reshape(np.shape(t))
-        return self.tail_fn(t)
 
     def levy_tail_integral(self, t):
         """Integral of the tail, int_0^t nubar(s) ds, in closed form for
@@ -221,8 +164,6 @@ class BernsteinFunction:
             "kind": self.kind,
             "label": self.label,
             "beta": self.beta,
-            "c_assump": self.c_assump,
-            "t0": self.t0,
             "closed_form_kernels": self.kind == "stable",
         }
         if self.alpha is not None:
@@ -238,23 +179,6 @@ class BernsteinFunction:
 def _check_alpha(alpha):
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-
-
-def _tempered_envelope_constant(alpha: float, x0: float) -> float:
-    """Tight short-time envelope constant for the tempered kernel.
-
-    The tempered potential density is exp(-theta t) t^(alpha-1) times the
-    power series sum_k (theta t)^(alpha k) / Gamma(alpha k + alpha), so the
-    ratio against t^(alpha-1) is increasing in theta*t; evaluate it at the
-    endpoint x0 = theta * t0 and pad for roundoff.
-    """
-    total = 0.0
-    for k in range(500):
-        term = x0 ** (alpha * k) / _gamma(alpha * k + alpha)
-        total += term
-        if term < 1e-16 * total:
-            break
-    return 1.02 * math.exp(-x0) * total
 
 
 def _spot_check_monotone(phi: BernsteinFunction, n: int = 40) -> None:
@@ -383,8 +307,8 @@ def load_phi_config(path) -> BernsteinFunction:
     """Read a catalog entry from a key-value text file.
 
     Lines look like ``kind = stable`` / ``alpha = 0.5``; ``#`` starts a
-    comment.  Optional keys ``beta``, ``c_assump``, ``t0`` override the
-    analytic defaults.
+    comment.  The file holds ``kind`` and that kind's parameters, nothing
+    else: the constructor derives beta from them.
     """
     kv = read_kv_file(path)
     kind = kv.pop("kind", None)
@@ -403,13 +327,6 @@ def load_phi_config(path) -> BernsteinFunction:
             raise ValueError(f"unknown kind {kind!r} in config")
     except KeyError as exc:
         raise ValueError(f"config of kind {kind!r} missing required key: {exc}") from exc
-
-    overrides = {}
-    for key in ("beta", "c_assump", "t0"):
-        if key in kv:
-            overrides[key] = float(kv.pop(key))
     if kv:
         raise ValueError(f"unrecognized config keys: {sorted(kv)}")
-    if overrides:
-        phi = replace(phi, **overrides)
     return phi

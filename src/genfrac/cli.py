@@ -57,6 +57,10 @@ _CATALOG_HELP = {
     "mixture": ("mixture:W@A+W@A", "phi(x) = sum w_i x^(a_i), inverted kernels"),
 }
 
+#: the options of ``gronwall --random``, with their defaults; an instance file
+#: owns its grid and draws nothing, so ``--instance`` refuses every one of them
+_RANDOM_DEFAULTS = {"T": 1.0, "N": 1024, "seeds": 100, "seed": 0}
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -144,7 +148,6 @@ def cmd_kernels(args) -> int:
     kt = build_kernel_table(phi, grid)
     report = {
         "beta": kt.beta,
-        "c_assump": kt.c_assump,
         "c_fit": kt.c_fit,
         "c_env_U": kt.c_env_U,
         "U_at_T": kt.U_node[-1],
@@ -230,6 +233,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gronwall(args) -> int:
+    given = ", ".join(f"--{key}" for key in _RANDOM_DEFAULTS if getattr(args, key) is not None)
+    if args.instance is not None and given:
+        raise ValueError(f"--instance takes its grid from the file and draws nothing; drop {given}")
+    if args.random:  # the report and the manifest record the resolved values
+        for key, default in _RANDOM_DEFAULTS.items():
+            if getattr(args, key) is None:
+                setattr(args, key, default)
     phi = _phi_from_arg(args.phi)
 
     extra = {}
@@ -379,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--instance", default=None, help="key-value instance file (t,x,a,g)")
     mode.add_argument("--random", action="store_true", help="run the seeded random harness")
-    p.add_argument("--seeds", type=int, default=100, help="number of random instances")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.set_defaults(func=cmd_gronwall)
+    p.add_argument("--seeds", type=int, help="number of random instances (default 100)")
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    # --random resolves these from _RANDOM_DEFAULTS; --instance refuses them
+    p.set_defaults(func=cmd_gronwall, T=None, N=None)
 
     p = sub.add_parser("mc", help="Monte Carlo estimates from subordinator paths")
     p.add_argument("--phi", required=True)

@@ -1,7 +1,8 @@
 """Kernel tables and the memory-integral / memory-derivative operators.
 
 The potential density u(t) of a special Bernstein function is integrable
-but typically unbounded at 0 (u(t) <= C t^(beta-1)).  All quadrature here
+but typically unbounded at 0 (u(t) <= C t^(beta-1), beta from the catalog,
+C fitted on each table's grid as ``c_fit``).  All quadrature here
 is product integration: the singular factor is integrated exactly over
 each grid cell, the smooth factor is represented by its cell average, so
 u itself is never evaluated.
@@ -31,7 +32,6 @@ windowed sum.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +70,8 @@ class KernelTable:
     Treated as immutable after construction.  ``c_fit`` is the tightest
     constant such that every cell mass of u is bounded by the matching
     cell mass of ``c_fit * t**(beta-1)``; ``c_env_U`` the analogous fit
-    for ``U(t) <= c_env_U * t**beta``.  These fitted envelopes, not the
-    catalog's a-priori ``c_assump``, feed every tail certificate downstream.
+    for ``U(t) <= c_env_U * t**beta``.  These fitted envelopes feed every
+    tail certificate downstream; the catalog declares only ``beta``.
     """
 
     grid: Grid
@@ -79,12 +79,11 @@ class KernelTable:
     U_node: np.ndarray  # shape (N+1,) potential distribution at nodes
     nu_cell: np.ndarray  # shape (N,)   integrated jump tail per cell
     beta: float
-    c_assump: float
     c_fit: float
     c_env_U: float
 
 
-def _kernel_table(grid: Grid, U: np.ndarray, V: np.ndarray, beta: float, c_assump: float):
+def _kernel_table(grid: Grid, U: np.ndarray, V: np.ndarray, beta: float):
     """The table of U at the nodes and raw tail-cell masses V: refuses a mass of
     W = diff U or V below the rounding floor -max(1e-12, 1e-8 max|W|) with
     KernelConsistencyError, clamps both at 0 and fits ``c_fit`` and ``c_env_U``."""
@@ -106,7 +105,6 @@ def _kernel_table(grid: Grid, U: np.ndarray, V: np.ndarray, beta: float, c_assum
         U_node=U,
         nu_cell=np.maximum(V, 0.0),
         beta=beta,
-        c_assump=c_assump,
         c_fit=float(np.max(W / cell_pow)),
         c_env_U=float(np.max(U[1:] / t[1:] ** beta)),
     )
@@ -128,20 +126,7 @@ def build_kernel_table(phi: BernsteinFunction, grid: Grid) -> KernelTable:
     else:
         transform = lambda z: phi.phi(z) / z ** 2  # noqa: E731
         Ntail = np.concatenate(([0.0], invert_grid(transform, t[1:])))
-    kt = _kernel_table(grid, U, np.diff(Ntail), phi.beta, phi.c_assump)
-
-    # empirical check of the declared short-time envelope on (0, t0]
-    early = t[1:] <= phi.t0
-    if np.any(early):
-        c_early = float(np.max((kt.u_cell / (np.diff(t ** phi.beta) / phi.beta))[early]))
-        if c_early > 1.05 * phi.c_assump:
-            warnings.warn(
-                f"fitted kernel envelope {c_early:.4g} on (0, t0] exceeds the "
-                f"declared c_assump {phi.c_assump:.4g}; envelope metadata "
-                "looks too optimistic",
-                stacklevel=2,
-            )
-    return kt
+    return _kernel_table(grid, U, np.diff(Ntail), phi.beta)
 
 
 # -- operators ---------------------------------------------------------------
@@ -362,7 +347,7 @@ def check_inversion_identity(kt: KernelTable, f: GridFunction) -> InversionIdent
 
 # -- CSV goldens --------------------------------------------------------------
 
-_CSV_PARAMS = ("beta", "c_assump", "c_fit", "c_env_U")
+_CSV_PARAMS = ("beta", "c_fit", "c_env_U")
 _CSV_FIELDS = ("i", "t", "u_cell", "U", "nu_tail_integrated")
 
 
@@ -385,7 +370,9 @@ def kernel_table_from_csv(path) -> KernelTable:
     ``U`` and ``nu_tail_integrated`` columns as :func:`build_kernel_table`
     builds it.  Missing, extra, non-finite, out-of-range or off-grid input and
     stored ``u_cell``, ``c_fit`` or ``c_env_U`` that differ from the rebuilt
-    ones raise ValueError; a negative cell mass raises KernelConsistencyError."""
+    ones raise ValueError; a negative cell mass raises KernelConsistencyError.
+    Header parameters other than ``beta``, ``c_fit`` and ``c_env_U`` are
+    ignored; extra cells in a row are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -403,15 +390,15 @@ def kernel_table_from_csv(path) -> KernelTable:
         raise ValueError("kernel CSV has a row with missing or extra cells")
     t, U = (np.array([float(r[k]) for r in rows]) for k in ("t", "U"))
     W, V = (np.array([float(r[k]) for r in rows[:-1]]) for k in ("u_cell", "nu_tail_integrated"))
-    beta, c_assump, c_fit, c_env_U = (float(params[key]) for key in _CSV_PARAMS)
-    if not all(np.isfinite(v).all() for v in (t, U, W, V, [beta, c_assump, c_fit, c_env_U])):
+    beta, c_fit, c_env_U = (float(params[key]) for key in _CSV_PARAMS)
+    if not all(np.isfinite(v).all() for v in (t, U, W, V, [beta, c_fit, c_env_U])):
         raise ValueError("kernel CSV holds a non-finite value")
-    if not (0 < beta < 1 and c_assump > 0):
-        raise ValueError(f"kernel CSV needs 0 < beta < 1 and c_assump > 0, has {beta}, {c_assump}")
+    if not 0 < beta < 1:
+        raise ValueError(f"kernel CSV needs 0 < beta < 1, has {beta}")
     grid = Grid(t[-1], len(rows) - 1)
     if not np.array_equal(t, grid.nodes):
         raise ValueError("kernel CSV t column is not the uniform grid on [0, t_N]")
-    kt = _kernel_table(grid, U, V, beta, c_assump)
+    kt = _kernel_table(grid, U, V, beta)
     if not (np.array_equal(W, kt.u_cell) and c_fit == kt.c_fit and c_env_U == kt.c_env_U):
         raise ValueError("kernel CSV u_cell, c_fit or c_env_U differ from those of its U column")
     return kt

@@ -13,8 +13,6 @@ from genfrac import (
     validate_bernstein,
 )
 
-from conftest import INV_GAMMA_0_5
-
 
 class TestEvalPhi:
     def test_stable_value(self):
@@ -33,50 +31,22 @@ class TestEvalPhi:
         assert phi.phi(2.0) == pytest.approx(expected, rel=1e-14)
 
     def test_custom_delegates(self):
-        phi = BernsteinFunction.custom(
-            phi_eval=lambda lam: 1.0 - np.exp(-lam),
-            levy_tail=lambda t: math.exp(-t),
-            beta=0.5,
-            c_assump=2.0,
-            t0=1.0,
-        )
+        phi = BernsteinFunction.custom(phi_eval=lambda lam: 1.0 - np.exp(-lam), beta=0.5)
         assert phi.phi(2.0) == pytest.approx(1.0 - math.exp(-2.0))
 
 
-class TestLevyTail:
-    def test_stable_closed_form(self):
-        phi = BernsteinFunction.stable(0.5)
-        assert phi.levy_tail(1.0) == pytest.approx(INV_GAMMA_0_5, rel=1e-12)
-        assert phi.levy_tail(4.0) == pytest.approx(INV_GAMMA_0_5 / 2.0, rel=1e-12)
-
-    def test_stable_vs_inversion(self):
-        # independent route: invert phi(z)/z numerically
-        phi = BernsteinFunction.stable(0.5)
-        ts = [0.25, 1.0, 3.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
-        for t, val in zip(ts, numeric):
-            assert val == pytest.approx(phi.levy_tail(t), rel=1e-5)
-
-    def test_tempered_vs_inversion(self):
-        phi = BernsteinFunction.tempered(0.5, 1.0)
-        ts = [0.1, 0.5, 2.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
-        for t, val in zip(ts, numeric):
-            assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
-
-    def test_mixture_vs_inversion(self):
-        phi = BernsteinFunction.mixture([0.3, 0.7], [0.4, 0.8])
-        ts = [0.1, 1.0]
-        numeric = invert_grid(lambda z: phi.phi(z) / z, ts)
-        for t, val in zip(ts, numeric):
-            assert val == pytest.approx(phi.levy_tail(t), rel=2e-5)
-
-    def test_tail_decreases_to_zero(self, catalog_phis):
-        grid = np.logspace(-2, 4, 60)
-        for phi in catalog_phis:
-            vals = phi.levy_tail(grid)
-            assert np.all((np.diff(vals) < 0) | (vals[1:] == 0.0))
-            assert vals[-1] < 1e-2 * vals[0]
+class TestLevyTailIntegral:
+    @pytest.mark.parametrize(
+        "spec",
+        ["stable:0.3", "stable:0.5", "tempered:0.5,1", "tempered:0.9,2", "mixture:0.3@0.4+0.7@0.8"],
+    )
+    def test_closed_form_matches_inversion(self, spec):
+        # the closed form the kernel tables read against the independent
+        # route a custom kind takes: inversion of phi(z)/z**2
+        phi = parse_phi_spec(spec)
+        ts = np.array([1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0])
+        numeric = invert_grid(lambda z: phi.phi(z) / z ** 2, ts)
+        assert phi.levy_tail_integral(ts) == pytest.approx(numeric, rel=1e-10, abs=0)
 
 
 class TestValidate:
@@ -87,14 +57,7 @@ class TestValidate:
         assert report.ok
 
     def test_square_flagged_at_order_two(self):
-        phi = BernsteinFunction.custom(
-            phi_eval=lambda lam: lam ** 2,
-            levy_tail=lambda t: 0.0,
-            beta=0.5,
-            c_assump=1.0,
-            t0=1.0,
-            check=False,
-        )
+        phi = BernsteinFunction.custom(phi_eval=lambda lam: lam ** 2, beta=0.5)
         report = validate_bernstein(phi, [1.0, 2.0], order=2)
         assert not report.ok
         assert any(order == 2 for (_, order, _, _) in report.violations)
@@ -144,30 +107,14 @@ class TestStructure:
         assert BernsteinFunction.stable(0.3).beta == 0.3
         assert BernsteinFunction.tempered(0.7, 2.0).beta == 0.7
 
-    @pytest.mark.parametrize(
-        "beta, c_assump, t0",
-        [(1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, math.inf, 1.0),
-         (0.5, 1.0, 0.0)],
-    )
-    def test_custom_envelope_checked(self, beta, c_assump, t0):
-        with pytest.raises(ValueError):
-            BernsteinFunction.custom(
-                phi_eval=lambda lam: lam ** 0.5,
-                levy_tail=lambda t: 0.0,
-                beta=beta,
-                c_assump=c_assump,
-                t0=t0,
-            )
+    @pytest.mark.parametrize("beta", [1.0, math.nan])
+    def test_custom_envelope_checked(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            BernsteinFunction.custom(phi_eval=lambda lam: lam ** 0.5, beta=beta)
 
     def test_custom_requires_monotone(self):
         with pytest.raises(ValueError):
-            BernsteinFunction.custom(
-                phi_eval=lambda lam: math.sin(lam) + 2.0,
-                levy_tail=lambda t: 0.0,
-                beta=0.5,
-                c_assump=1.0,
-                t0=1.0,
-            )
+            BernsteinFunction.custom(phi_eval=lambda lam: math.sin(lam) + 2.0, beta=0.5)
 
 
     @pytest.mark.parametrize(
@@ -180,13 +127,7 @@ class TestStructure:
         # the inversion that builds a custom kind's kernels evaluates phi
         # off the real axis
         with pytest.raises(ValueError, match="complex"):
-            BernsteinFunction.custom(
-                phi_eval=phi_eval,
-                levy_tail=lambda t: math.exp(-t),
-                beta=0.5,
-                c_assump=2.0,
-                t0=1.0,
-            )
+            BernsteinFunction.custom(phi_eval=phi_eval, beta=0.5)
 
 
 class TestTextInterfaces:
@@ -209,9 +150,8 @@ class TestTextInterfaces:
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "phi.cfg"
-        path.write_text("# catalog entry\nkind = tempered\nalpha = 0.5\ntheta = 1.0\nt0 = 0.5\n")
-        phi = load_phi_config(path)
-        assert phi.kind == "tempered" and phi.t0 == 0.5
+        path.write_text("# catalog entry\nkind = tempered\nalpha = 0.5\ntheta = 1.0\n")
+        assert load_phi_config(path) == parse_phi_spec("tempered:0.5,1.0")
 
     @pytest.mark.parametrize(
         "spec", ["mixture:inf@0.5", "mixture:nan@0.5", "mixture:1@0.5+nan@0.3", "tempered:0.5,inf"]
@@ -220,11 +160,16 @@ class TestTextInterfaces:
         with pytest.raises(ValueError, match="positive and finite"):
             parse_phi_spec(spec)
 
-    @pytest.mark.parametrize("override", ["beta = nan", "beta = 1.5", "c_assump = -1"])
+    @pytest.mark.parametrize(
+        "override", ["beta = nan", "beta = 1.5", "c_assump = -1", "t0 = 0.5", "beta = 0.5"]
+    )
     def test_config_overrides_are_checked(self, tmp_path, override):
+        # the constructor derives beta from the kind's parameters: a file
+        # that tries to set beta, or an envelope constant, is refused
+        key = override.partition(" ")[0]
         path = tmp_path / "phi.cfg"
         path.write_text(f"kind = stable\nalpha = 0.5\n{override}\n")
-        with pytest.raises(ValueError, match=override.partition(" ")[0]):
+        with pytest.raises(ValueError, match=rf"unrecognized config keys: \['{key}'\]"):
             load_phi_config(path)
 
     def test_config_rejects_unknown_keys(self, tmp_path):

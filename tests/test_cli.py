@@ -14,6 +14,9 @@ from genfrac.cli import build_parser, main
 #: 64 comma-separated ones, the tail of a 65-node instance column
 ONES = ",".join("1.0" for _ in range(64))
 
+#: what ``gronwall --random`` records for an option it was not given
+RANDOM_DEFAULTS = {"T": 1.0, "N": 1024, "seeds": 100, "seed": 0}
+
 
 def run(args):
     return main(args)
@@ -288,6 +291,33 @@ class TestGronwall:
         assert "usage error" in err and f"missing required key: '{missing}'" in err
 
     @pytest.mark.parametrize(
+        "option", [["--T", "5"], ["--N", "7"], ["--seeds", "3"], ["--seed", "9"]],
+        ids=["T", "N", "seeds", "seed"],
+    )
+    def test_instance_refuses_the_random_options(self, tmp_path, capsys, option):
+        # the instance file owns the grid and nothing is drawn: an option
+        # the run would ignore is refused, not recorded in the hashed config
+        path = tmp_path / "inst.kv"
+        path.write_text(f"t = 1.0\nx = 0.5,{ONES}\na = 1.0,{ONES}\ng = 1.0,{ONES}\n")
+        out = tmp_path / "gi"
+        assert run(
+            ["gronwall", "--phi", "stable:0.5", "--instance", str(path), *option,
+             "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"drop {option[0]}" in err
+        assert not out.exists()
+
+    def test_random_records_its_resolved_defaults(self, tmp_path):
+        out = tmp_path / "g"
+        assert run(["gronwall", "--phi", "stable:0.5", "--random", "--out", str(out)]) == 0
+        config = json.loads((out / "gronwall_report.json").read_text())["config"]
+        assert {key: config[key] for key in RANDOM_DEFAULTS} == RANDOM_DEFAULTS
+        assert json.loads((out / "gronwall_manifest.json").read_text())["grid"] == {
+            "T": 1.0, "N": 1024,
+        }
+
+    @pytest.mark.parametrize(
         "mode", [[], ["--random", "--instance", "inst.kv"]], ids=["neither", "both"]
     )
     def test_exactly_one_mode_is_required(self, tmp_path, mode):
@@ -387,13 +417,17 @@ class TestPhiSources:
         assert "usage error" in capsys.readouterr().err
         assert not (out / "kernels.csv").exists()
 
-    @pytest.mark.parametrize("override", ["beta = nan", "beta = 1.5", "c_assump = -1"])
+    @pytest.mark.parametrize(
+        "override", ["beta = nan", "beta = 1.5", "c_assump = -1", "t0 = 0.5", "beta = 0.5"]
+    )
     def test_bad_config_override_is_usage_error(self, tmp_path, capsys, override):
+        # a config file holds kind and its parameters; beta and envelope keys are unknown
         cfg = tmp_path / "phi.cfg"
         cfg.write_text(f"kind = stable\nalpha = 0.5\n{override}\n")
         out = tmp_path / "k"
         assert run(["kernels", "--phi", f"config:{cfg}", "--N", "32", "--out", str(out)]) == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage error: unrecognized config keys: ['{override.partition(' ')[0]}']" in err
         assert not (out / "kernels.csv").exists()
 
     def test_out_env_default(self, tmp_path, monkeypatch):
@@ -432,6 +466,11 @@ class TestOutputs:
             assert run(argv + ["--out", str(out)]) == 0
             parsed = vars(build_parser().parse_args(argv + ["--out", str(out)]))
             parsed.pop("func")
+            if "--random" in argv:
+                # the harness resolves the options left unset to its defaults
+                unset = {k: v for k, v in RANDOM_DEFAULTS.items() if parsed[k] is None}
+                assert unset == {"T": 1.0, "seed": 0}
+                parsed |= unset
             config = json.loads((out / f"{command}_report.json").read_text())["config"]
             extra = {"phi_meta"}
             if command == "solve":

@@ -74,34 +74,13 @@ class TestBuild:
         # wrap the stable law as a custom entry: the inversion-built table
         # must reproduce the closed-form one
         from genfrac import BernsteinFunction
-        from scipy.special import gamma
 
-        custom = BernsteinFunction.custom(
-            phi_eval=lambda lam: lam ** 0.5,
-            levy_tail=lambda t: t ** -0.5 / gamma(0.5),
-            beta=0.5,
-            c_assump=1.0 / gamma(0.5),
-            t0=1.0,
-        )
+        custom = BernsteinFunction.custom(phi_eval=lambda lam: lam ** 0.5, beta=0.5)
         grid = Grid(1.0, 128)
         kt_custom = build_kernel_table(custom, grid)
         kt_exact = build_kernel_table(BernsteinFunction.stable(0.5), grid)
-        assert kt_custom.U_node == pytest.approx(kt_exact.U_node, rel=2e-6, abs=1e-9)
-        assert kt_custom.nu_cell == pytest.approx(kt_exact.nu_cell, rel=2e-5, abs=1e-9)
-
-    def test_custom_envelope_mismatch_warns(self):
-        from genfrac import BernsteinFunction
-        from scipy.special import gamma
-
-        optimistic = BernsteinFunction.custom(
-            phi_eval=lambda lam: lam ** 0.5,
-            levy_tail=lambda t: t ** -0.5 / gamma(0.5),
-            beta=0.5,
-            c_assump=0.1 / gamma(0.5),  # ten times too small
-            t0=1.0,
-        )
-        with pytest.warns(UserWarning, match="envelope"):
-            build_kernel_table(optimistic, Grid(1.0, 64))
+        assert kt_custom.U_node == pytest.approx(kt_exact.U_node, rel=1e-10, abs=0)
+        assert kt_custom.nu_cell == pytest.approx(kt_exact.nu_cell, rel=1e-10, abs=0)
 
 
 class TestConvPrefix:
@@ -392,12 +371,10 @@ class TestCsv:
              "differ from"),
             (lambda lines: _edit_cell(lines, 4, 2, "-1"), "differ from"),
             (lambda lines: [re.sub(r"beta=\S+", "beta=1", lines[0])] + lines[1:],
-             "0 < beta < 1 and c_assump > 0"),
-            (lambda lines: [re.sub(r"c_assump=\S+", "c_assump=-1", lines[0])] + lines[1:],
-             "0 < beta < 1 and c_assump > 0"),
+             "0 < beta < 1"),
         ],
         ids=["header-key", "column", "no-rows", "short-row", "extra-cell", "nan", "t-off-grid",
-             "c_fit", "c_env_U", "u_cell", "beta", "c_assump"],
+             "c_fit", "c_env_U", "u_cell", "beta"],
     )
     def test_malformed_file_is_value_error(self, kt_stable_512, tmp_path, mangle, message):
         path = tmp_path / "kernels.csv"
@@ -417,6 +394,22 @@ class TestCsv:
         path.write_text("".join(lines))
         with pytest.raises(KernelConsistencyError, match="negative u-cell mass"):
             kernel_table_from_csv(path)
+
+    def test_declared_envelope_in_the_header_is_ignored(self, kt_tempered_512, tmp_path):
+        # files written while the catalog still declared an envelope carry
+        # c_assump in their header; the reader ignores header parameters it
+        # does not use and rebuilds the same table
+        kt = kt_tempered_512
+        path = tmp_path / "kernels.csv"
+        kernel_table_to_csv(kt, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace(" c_fit=", " c_assump=2.0912596324932125 c_fit=")
+        path.write_text("".join(lines))
+        back = kernel_table_from_csv(path)
+        assert back.grid == kt.grid
+        for name in ("u_cell", "U_node", "nu_cell"):
+            assert np.array_equal(getattr(back, name), getattr(kt, name))
+        assert (back.beta, back.c_fit, back.c_env_U) == (kt.beta, kt.c_fit, kt.c_env_U)
 
     def test_rewrite_is_byte_identical(self, kt_stable_512, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

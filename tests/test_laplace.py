@@ -1,5 +1,4 @@
 import cmath
-import math
 import sys
 from pathlib import Path
 
@@ -152,13 +151,7 @@ class TestAbscissa:
         assert abscissa_for_eigen(phi, 1.0) == pytest.approx(3.0, rel=1e-9)
 
     def test_bounded_custom_raises(self):
-        phi = BernsteinFunction.custom(
-            phi_eval=lambda lam: 1.0 - np.exp(-lam),
-            levy_tail=lambda t: math.exp(-t),
-            beta=0.5,
-            c_assump=2.0,
-            t0=1.0,
-        )
+        phi = BernsteinFunction.custom(phi_eval=lambda lam: 1.0 - np.exp(-lam), beta=0.5)
         with pytest.raises(AbscissaError):
             abscissa_for_eigen(phi, 2.0)
 
