@@ -1,19 +1,24 @@
-"""Monte Carlo layer: subordinator paths and inverse-passage estimates.
+"""Monte Carlo layer: inverse-subordinator draws and their estimates.
 
-Paths of the driving subordinator are built from i.i.d. increments on an
-operational-time grid of step dt; the inverse process L(t) is read off by
-first passage, which biases L upward by at most one dt.  Estimates of
-U(t) = E[L(t)], the moments E[L^k(t)]/k!, and the eigenfunction
-e(t; lam) = E[exp(lam L(t))] provide a route independent of both the
-series and the Laplace machinery.
+For stable phi the draw is exact: L(t) has the law of (t/S)^alpha with
+S ~ S_alpha(1), one S per path.  For tempered phi, paths of the driving
+subordinator are built from i.i.d. increments on an operational-time grid
+of step dt and L(t) is read off by first passage, which biases L upward
+by at most one dt.  Estimates of U(t) = E[L(t)], the moments
+E[L^k(t)]/k!, and the eigenfunction e(t; lam) = E[exp(lam L(t))] provide
+a route independent of both the series and the Laplace machinery.
+
+Every estimator reads the marginal law of L at one time only.  The
+stable columns of one row share their S, so their joint law across
+targets is comonotone, not the law of L along a path.
 
 Reproducibility: every path owns a counter-based stream keyed by
 (seed, path index), and reductions use numpy's fixed pairwise order, so
 results are bit-identical for a given seed regardless of call order.
 
-Shared draw: the paths of the last (config, targets) pair are kept, one
-draw only, so the estimators of one config read the same paths instead of
-redrawing them.  A repeat is bit-identical to a fresh draw, since a miss
+Shared draw: the draw of the last (config, targets) pair is kept, one
+draw only, so the estimators of one config read the same draw instead of
+redrawing it.  A repeat is bit-identical to a fresh draw, since a miss
 runs the same per-path loop.  The kept array is read-only and callers of
 :func:`sample_inverse_values` receive a copy, so writing to a returned
 array changes no later result.
@@ -48,6 +53,8 @@ __all__ = [
 ]
 
 _MAX_STEPS_PER_PATH = 5_000_000
+#: increments per block of a tempered first-passage path
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,28 @@ class McEstimate:
     n_effective: int
 
 
-def _path_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+def _path_streams(seed: int, n_paths: int):
+    """Yield the stream of path i = 0..n_paths-1, each bit-identical to
+    ``Generator(Philox(key=[seed, i]))``.
+
+    One Philox is re-keyed per path (key [seed, i], counter 0, an empty
+    buffer) instead of building a fresh one, which would first seed itself
+    from the OS only to have the key override it.  A yielded generator is
+    therefore valid only until the next one is yielded.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for i in range(n_paths):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": np.array([seed, i], dtype=np.uint64)},
+            "buffer": zeros,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def sample_stable_increment(alpha: float, dt: float, rng: np.random.Generator, size=None):
@@ -159,10 +186,12 @@ def inverse_passage(increments: np.ndarray, t, dt: float):
 def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarray:
     """L(t) for every path and every target level; shape (n_paths, n_targets).
 
-    Paths are extended blockwise until they pass the largest target, up to
-    a hard cap on the operational steps.  The last draw is kept: a repeat
-    with an equal config and the same targets returns a copy of it, bit
-    for bit what a fresh draw would give.
+    Each column has the marginal law of L at its target: exact for stable
+    phi, by first passage on the dt-grid for tempered phi.  Rows are
+    nondecreasing in t, but only the tempered rows are paths of L; a
+    stable row is (t/S)^alpha for one S, so read one column at a time.
+    The last draw is kept: a repeat with an equal config and the same
+    targets returns a copy of it, bit for bit what a fresh draw would give.
     """
     targets = np.asarray(t_targets, dtype=float)
     if targets.size == 0:
@@ -175,29 +204,40 @@ def sample_inverse_values(cfg: McConfig, t_targets: Sequence[float]) -> np.ndarr
 
 @functools.lru_cache(maxsize=1)
 def _inverse_values(cfg: McConfig, target_key: tuple) -> np.ndarray:
-    """The first-passage draw behind :func:`sample_inverse_values`, read-only
-    and memoized on (cfg, target_key) so that every estimate of one config
-    reads the same paths without redrawing them."""
+    """The draw behind :func:`sample_inverse_values`, read-only and memoized
+    on (cfg, target_key) so that every estimate of one config reads the
+    same draw without redrawing it.
+
+    Stable phi: one S ~ S_alpha(1) per path from the path's own stream,
+    and L(t) = (t/S)^alpha, exact in each marginal with no dt bias.
+    Tempered phi: first passage over blocks of 2048 increments, drawn
+    until the path passes the largest target, up to a hard cap on the
+    operational steps.  Every estimator reads one column at a time, the
+    marginal law of L at one target.
+    """
     targets = np.array(target_key)
     t_top = float(targets.max())
     out = np.empty((cfg.n_paths, targets.size))
-    for i in range(cfg.n_paths):
-        rng = _path_rng(cfg.seed, i)
-        chunks = []
-        total = 0.0
-        steps = 0
-        block = 2048
-        while total <= t_top:
-            if steps >= _MAX_STEPS_PER_PATH:
-                raise PathExhaustedError(
-                    f"path {i} exceeded {_MAX_STEPS_PER_PATH} steps before passage"
-                )
-            inc = _draw_increments(cfg, rng, block)
-            chunks.append(inc)
-            total += float(inc.sum())
-            steps += block
-            block = min(2 * block, 65536)
-        out[i] = inverse_passage(np.concatenate(chunks), targets, cfg.dt)
+    streams = _path_streams(cfg.seed, cfg.n_paths)
+    if cfg.phi.kind == "stable":
+        alpha = cfg.phi.alpha
+        s = np.array([sample_stable_increment(alpha, 1.0, rng) for rng in streams])
+        out[:] = (targets[None, :] / s[:, None]) ** alpha
+    else:
+        for i, rng in enumerate(streams):
+            chunks = []
+            total = 0.0
+            steps = 0
+            while total <= t_top:
+                if steps >= _MAX_STEPS_PER_PATH:
+                    raise PathExhaustedError(
+                        f"path {i} exceeded {_MAX_STEPS_PER_PATH} steps before passage"
+                    )
+                inc = _draw_increments(cfg, rng, _BLOCK)
+                chunks.append(inc)
+                total += float(inc.sum())
+                steps += _BLOCK
+            out[i] = inverse_passage(np.concatenate(chunks), targets, cfg.dt)
     out.flags.writeable = False
     return out
 
@@ -266,7 +306,8 @@ def estimate_moments(cfg: McConfig, t: float, k_max: int) -> list:
 
 
 def estimate_potential_mc(cfg: McConfig, t: float) -> McEstimate:
-    """U(t) = E[L(t)] by first passage."""
+    """U(t) = E[L(t)] from the marginal draw of L(t): exact for stable phi,
+    first passage for tempered phi."""
     return estimate_moments(cfg, t, 1)[1]
 
 
@@ -284,7 +325,7 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
     if any(not lam >= 0 for lam in lambdas):
         raise ValueError(f"laplace_exponent_check needs lam >= 0, got {list(lambdas)}")
     inc = np.array(
-        [_draw_increments(cfg, _path_rng(cfg.seed, i), None) for i in range(cfg.n_paths)]
+        [_draw_increments(cfg, rng, None) for rng in _path_streams(cfg.seed, cfg.n_paths)]
     )
     rows = []
     for lam in lambdas:

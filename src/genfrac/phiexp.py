@@ -131,6 +131,37 @@ def _terms(cp: ConvolutionPowers, lam: float, K: int, k, nodes) -> np.ndarray:
     return np.where(np.isnan(terms), 0.0, terms)
 
 
+def _require_sound_powers(cp: ConvolutionPowers, lam: float, last, tails, K: int, node: int) -> None:
+    """Refuse a certified sum that the stored powers at ``node`` contradict.
+
+    ``last`` holds the terms lam^k u_k there for k = 0..k_max, and the
+    certificate claims tails[K+1] past K.  A stored term past K above that
+    refutes it: the kernel envelope then does not bound this grid's powers.
+    A summed power stored below the smallest normal double, the first at
+    k0 <= K, drops its term and the ones after it; the refusal fires unless
+    the stored terms are already falling there, at a ratio r < 1, and the
+    geometric tail |term_{k0-1}| r / (1 - r) is within SERIES_TOL |sum|.
+    """
+    if K < cp.k_max and np.max(np.abs(last[K + 1 :])) > tails[K + 1]:
+        raise TruncationError(
+            f"stored terms past K={K} exceed the certified tail {tails[K + 1]:.3e} at "
+            f"t={cp.grid.nodes[node]:g}, lam={lam:g}: the kernel envelope does not bound "
+            "this grid's powers; use the Laplace route",
+            tail_estimate=float(np.sum(np.abs(last[K + 1 :]))),
+        )
+    lost = np.flatnonzero(cp.u_star[1 : K + 1, node] < np.finfo(float).tiny)
+    if not lost.size:
+        return
+    k0 = int(lost[0]) + 1
+    a, b = (abs(float(last[k0 - 1])), abs(float(last[k0 - 2]))) if k0 >= 2 else (1.0, 0.0)
+    if a >= b or a * a > SERIES_TOL * abs(float(np.sum(last[: K + 1]))) * (b - a):
+        raise TruncationError(
+            f"stored power u_{k0}(t={cp.grid.nodes[node]:g}) underflows below the smallest "
+            f"normal double before the terms at lam={lam:g} fall below the tolerance; "
+            "use the Laplace route"
+        )
+
+
 def _series(cp: ConvolutionPowers, lam: float, start: int, stop: int) -> np.ndarray:
     """Series values at grid nodes start..stop-1, truncated at the first K >= 1
     whose certified tail at node stop-1 meets SERIES_TOL relative to the
@@ -141,6 +172,8 @@ def _series(cp: ConvolutionPowers, lam: float, start: int, stop: int) -> np.ndar
     so the values agree with ``math.fsum`` to an ulp.  The first node with
     sum|term| > CANCELLATION_LIMIT * |sum| raises CancellationError; without
     a certified K, that check runs over all stored powers at node stop-1 first.
+    A certified K that the stored powers at node stop-1 contradict raises
+    TruncationError before any sum (:func:`_require_sound_powers`).
     """
     _require_finite(lam)
     if lam == 0.0:
@@ -150,6 +183,8 @@ def _series(cp: ConvolutionPowers, lam: float, start: int, stop: int) -> np.ndar
     last = _terms(cp, lam, cp.k_max, np.arange(cp.k_max + 1), stop - 1)
     met = tails[2:] <= SERIES_TOL * np.maximum(np.abs(np.cumsum(last)[1:]), 1e-300)
     K = int(np.argmax(met)) + 1 if met.any() else cp.k_max
+    if met.any() and t > 0:  # every u_k(0) = 0 is exact
+        _require_sound_powers(cp, lam, last, tails, K, stop - 1)
     if not met.any():
         start = stop - 1
     total, comp, gross = np.zeros((3, stop - start))

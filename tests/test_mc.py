@@ -21,7 +21,7 @@ from genfrac import (
     tail_bound_check,
 )
 from genfrac import mc
-from genfrac.mc import _inverse_values, _path_rng
+from genfrac.mc import _inverse_values, _path_streams
 
 from conftest import INV_GAMMA_1_5, ML_ORACLE
 
@@ -38,14 +38,15 @@ def inverse_samples(stable_cfg):
 
 @pytest.fixture
 def path_streams(monkeypatch):
-    """Indices of the per-path streams opened, one per path drawn."""
+    """Indices of the per-path streams yielded, one per path drawn."""
     opened = []
 
-    def counting(seed, index):
-        opened.append(index)
-        return _path_rng(seed, index)
+    def counting(seed, n_paths):
+        for index, rng in enumerate(_path_streams(seed, n_paths)):
+            opened.append(index)
+            yield rng
 
-    monkeypatch.setattr(mc, "_path_rng", counting)
+    monkeypatch.setattr(mc, "_path_streams", counting)
     return opened
 
 
@@ -139,6 +140,51 @@ class TestInversePassage:
         perm = [2, 0, 3, 1]
         shuffled = sample_inverse_values(cfg, [targets[k] for k in perm])
         assert np.array_equal(shuffled, base[:, perm])
+
+
+class TestExactStableMarginals:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_moments_exact_at_every_target(self, alpha):
+        # E[L(t)^k]/k! = t^(k alpha) / Gamma(1 + k alpha), with no dt allowance
+        cfg = McConfig(
+            phi=BernsteinFunction.stable(alpha), n_paths=20000, dt=1e-3, t_max=1.0, seed=17
+        )
+        targets = [0.25, 0.5, 1.0]
+        L = sample_inverse_values(cfg, targets)
+        for j, t in enumerate(targets):
+            for k in (1, 2):
+                vals = L[:, j] ** k / math.factorial(k)
+                se = vals.std(ddof=1) / math.sqrt(cfg.n_paths)
+                exact = t ** (k * alpha) / math.gamma(1.0 + k * alpha)
+                assert abs(vals.mean() - exact) <= 4 * se, (t, k)
+
+    def test_first_passage_over_stable_paths_agrees(self, stable_half):
+        # first passage, the tempered reading, over stable increments: above
+        # the exact marginals by at most its dt allowance
+        cfg = McConfig(phi=stable_half, n_paths=1000, dt=2e-3, t_max=1.0, seed=23)
+        targets = [0.25, 0.5, 1.0]
+        exact = sample_inverse_values(cfg, targets)
+        passage = np.empty_like(exact)
+        for i, rng in enumerate(_path_streams(cfg.seed + 1, cfg.n_paths)):
+            inc = sample_stable_increment(0.5, cfg.dt, rng, size=4096)
+            passage[i] = inverse_passage(inc, targets, cfg.dt)
+        mean_exact = exact.mean(axis=0)
+        for k, allowance in ((1, cfg.dt * np.ones(3)), (2, cfg.dt * mean_exact + 0.5 * cfg.dt ** 2)):
+            a, b = passage ** k / math.factorial(k), exact ** k / math.factorial(k)
+            se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / cfg.n_paths)
+            gap = a.mean(axis=0) - b.mean(axis=0)
+            assert np.all(gap >= -4 * se) and np.all(gap <= 4 * se + allowance), k
+
+    def test_tempered_step_cap_names_the_path(self, tempered_half, monkeypatch):
+        monkeypatch.setattr(mc, "_MAX_STEPS_PER_PATH", 2048)
+        cfg = McConfig(phi=tempered_half, n_paths=100, dt=1e-3, t_max=1.0, seed=4)
+        first = next(
+            i
+            for i, rng in enumerate(_path_streams(cfg.seed, cfg.n_paths))
+            if sample_tempered_increment(0.5, 1.0, cfg.dt, rng, size=2048).sum() <= 1.0
+        )
+        with pytest.raises(PathExhaustedError, match=rf"path {first} exceeded 2048 steps"):
+            sample_inverse_values(cfg, [1.0])
 
 
 class TestEstimates:
@@ -328,9 +374,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"target {bad}"):
             sample_inverse_values(stable_cfg, [0.5, bad])
 
-    def test_path_streams_are_keyed(self):
-        a = _path_rng(7, 0).random(4)
-        b = _path_rng(7, 1).random(4)
-        c = _path_rng(7, 0).random(4)
-        assert not np.allclose(a, b)
-        assert np.all(a == c)
+    def test_path_streams_match_fresh_keyed_generators(self):
+        # a re-keyed stream restarts at key [seed, i], whatever its
+        # predecessor drew, half-used 32-bit words included
+        seed = 7
+        skips = np.random.default_rng(0).integers(0, 300, size=(50, 2))
+        for i, rng in enumerate(_path_streams(seed, 50)):
+            fresh = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            assert rng.random(64).tobytes() == fresh.random(64).tobytes()
+            rng.random(skips[i, 0])
+            rng.random(2 * skips[i, 1] + 1, dtype=np.float32)

@@ -177,6 +177,26 @@ class TestSeriesRoute:
         with pytest.raises(TruncationError):
             phi_exp_series(cp, 2.0, 512)
 
+    @pytest.mark.parametrize(
+        "lam, reason",
+        [
+            # the grid's terms still grow past the certified K = 173 (and its
+            # powers underflow to 0 at T from k = 243 on): the curve read
+            # 1.45e50 where the grid resolvent gives 2.92e52
+            (30.0, "certified tail"),
+            # u_243(T) underflows while the terms still grow: the curve read
+            # -3.3e182 for a value in (0, 1]
+            (-100.0, "underflows"),
+        ],
+    )
+    def test_powers_that_contradict_the_certificate_are_refused(self, mixture_phi, lam, reason):
+        from genfrac import Grid, build_kernel_table
+
+        kt = build_kernel_table(mixture_phi, Grid(1.0, 64))
+        cp = convolution_powers(kt, suggest_power_count(kt, lam))
+        with pytest.raises(TruncationError, match=reason):
+            phi_exp_series_curve(cp, lam)
+
     def test_cancellation_refusal(self, kt_stable_512):
         k = suggest_power_count(kt_stable_512, -6.0)
         cp = convolution_powers(kt_stable_512, k)
