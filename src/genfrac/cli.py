@@ -42,12 +42,7 @@ from .mc import (
     estimate_potential_mc,
     laplace_exponent_check,
 )
-from .phiexp import (
-    convolution_powers,
-    phi_exp_laplace_curve,
-    phi_exp_series_curve,
-    suggest_power_count,
-)
+from .phiexp import phi_exp_grid_curve, phi_exp_laplace_curve
 from .problems import load_problem_file
 from .solver import solve_to_horizon, verify_holder
 
@@ -165,10 +160,7 @@ def cmd_eigen(args) -> int:
 
     columns = {}
     if "series" in methods:
-        kt = build_kernel_table(phi, grid)
-        k_need = suggest_power_count(kt, lam)
-        cp = convolution_powers(kt, k_need)
-        columns["series"] = phi_exp_series_curve(cp, lam)
+        columns["series"] = phi_exp_grid_curve(build_kernel_table(phi, grid), lam)
     if "laplace" in methods:
         vals = np.empty(grid.cells + 1)
         vals[0] = 1.0

@@ -12,7 +12,6 @@ __all__ = [
     "AbscissaError",
     "KernelConsistencyError",
     "TruncationError",
-    "CancellationError",
     "HorizonError",
     "NonconvergenceError",
     "ConfinementError",
@@ -43,10 +42,6 @@ class TruncationError(NumericalError):
     def __init__(self, message, tail_estimate=None):
         super().__init__(message)
         self.tail_estimate = tail_estimate
-
-
-class CancellationError(NumericalError):
-    """Alternating-series cancellation exceeds the trusted amplification."""
 
 
 class HorizonError(NumericalError):

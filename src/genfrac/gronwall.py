@@ -35,7 +35,7 @@ from scipy.special import gamma as _gamma
 from .grids import Grid, GridFunction, _require_grid
 from .kernels import KernelTable, _conv_prefix, _frac_integral_values, _resolvent_solve
 from .mittag import derivative_log_terms
-from .phiexp import ConvolutionPowers, _require_table
+from .phiexp import ConvolutionPowers, _require_table, phi_exp_grid_curve
 from .problems import IvpProblem
 from .solver import _horizon_index, picard_solve, select_horizon
 
@@ -187,13 +187,12 @@ def ml_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
 
 
 def monotone_bound(kt: KernelTable, g: GridFunction, a: GridFunction) -> GridFunction:
-    """a(t) * e(t; g(T)), e = 1 + g(T) * I[e] on the grid; a nondecreasing, g as ml_bound."""
+    """a(t) * e(t; g(T)), e = :func:`phi_exp_grid_curve`; a nondecreasing, g as ml_bound."""
     _require_grid(kt.grid, g, a)
     av = a.scalar()
     if not _nondecreasing(av):
         raise ValueError("monotone bound requires a nondecreasing a")
-    e = _resolvent_solve(kt.u_cell, np.ones_like(a.values), np.full(av.shape, _g_values(g)[-1]))
-    return GridFunction(kt.grid, av * e[:, 0])
+    return GridFunction(kt.grid, av * phi_exp_grid_curve(kt, _g_values(g)[-1]))
 
 
 def _quadrature_slack(kt: KernelTable, g: GridFunction, ref: np.ndarray) -> np.ndarray:

@@ -3,6 +3,9 @@ N=4096, so they are built once per session and reused.  The Monte Carlo
 layer's kept draw is cleared before every test, so that no test reads the
 paths another test drew."""
 
+import math
+
+import numpy as np
 import pytest
 
 from genfrac import (
@@ -32,6 +35,19 @@ GAMMA_1_5 = 0.88622692545275801365
 INV_GAMMA_1_5 = 1.1283791670955125739
 INV_GAMMA_0_5 = 0.56418958354775628695
 INV_GAMMA_2_5 = 0.75225277806367504926
+
+
+def fsum_series(cp, lam):
+    """math.fsum of the terms lam^k u_k(t_i), k = 0..k_max, at every node,
+    each term formed in log space; also the sum of the |terms|."""
+    k = np.arange(cp.k_max + 1)[:, None]
+    with np.errstate(divide="ignore"):
+        log_u = np.log(cp.u_star)
+    terms = np.where(cp.u_star > 0.0, np.exp(k * math.log(abs(lam)) + log_u), 0.0)
+    terms *= math.copysign(1.0, lam) ** k
+    total = np.array([math.fsum(col) for col in terms.T])
+    gross = np.array([math.fsum(col) for col in np.abs(terms).T])
+    return total, gross
 
 
 @pytest.fixture(autouse=True)
@@ -67,6 +83,11 @@ def kt_stable_4096(stable_half):
 @pytest.fixture(scope="session")
 def kt_stable_512(stable_half):
     return build_kernel_table(stable_half, Grid(1.0, 512))
+
+
+@pytest.fixture(scope="session")
+def kt_stable_1024(stable_half):
+    return build_kernel_table(stable_half, Grid(1.0, 1024))
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,14 @@ class TestEigen:
         ) == 1
         assert "numerical failure: exp(lam*L) overflowed" in capsys.readouterr().err
 
+    def test_series_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # e(1; 30) = E_1/2(30) ~ 1e391 overflows the grid solve at N = 1024
+        assert run(
+            ["eigen", "--phi", "stable:0.5", "--method", "series", "--lambda", "30",
+             "--out", str(tmp_path)]
+        ) == 1
+        assert "numerical failure: the resolvent solution overflowed" in capsys.readouterr().err
+
     def test_mc_non_finite_lambda_is_usage_error(self, tmp_path, capsys):
         assert run(
             ["eigen", "--phi", "stable:0.5", "--lambda", "nan", "--N", "64",

@@ -25,8 +25,7 @@ from genfrac import (
     ml_bound,
     monotone_bound,
     parse_phi_spec,
-    phi_exp_series,
-    phi_exp_series_curve,
+    phi_exp_grid_curve,
     random_instance,
     rhs_linear,
     rhs_logistic,
@@ -34,12 +33,11 @@ from genfrac import (
     saturated_instance,
     series_bound,
     suggest_power_count,
-    TruncationError,
 )
 from genfrac.kernels import _frac_integral_values
 from genfrac.phiexp import SERIES_TOL
 
-from conftest import ML_ORACLE
+from conftest import ML_ORACLE, fsum_series
 
 
 def const(kt, value):
@@ -217,14 +215,14 @@ class TestMonotoneBound:
         assert np.all(out.values == 1.0)
 
     def test_unit_case_matches_series(self, kt_stable_512, kt_tempered_512):
-        # the grid resolvent and the convolution-power series are one
-        # eigenfunction: they agree within the series' certified tail
+        # e(t; lam) = sum_k lam^k u_k(t): the bound against math.fsum of the
+        # terms over the stored powers
         for kt in (kt_stable_512, kt_tempered_512):
             one = const(kt, 1.0)
             cp = convolution_powers(kt, suggest_power_count(kt, 1.5))
             for lam in (0.5, 1.5):
                 out = monotone_bound(kt, const(kt, lam), one).scalar()
-                assert out == pytest.approx(phi_exp_series_curve(cp, lam), rel=2 * SERIES_TOL)
+                assert out == pytest.approx(fsum_series(cp, lam)[0], rel=2 * SERIES_TOL, abs=0.0)
 
     def test_product_form(self, kt_stable_512):
         t = kt_stable_512.grid.nodes
@@ -524,14 +522,11 @@ class TestContinuity:
         assert rep.rows[2]["ratio"] == 0.0
 
     def test_parameter_factor_is_certified_at_its_own_horizon(self, kt_stable_512):
-        # 28 powers certify e(t; 1.5) up to T' = t_147, the horizon of
-        # v = -1.1, but not up to T = 1; the factor is e(T'; 1.5) itself
+        # T' = t_147 is the horizon of v = -1.1, short of T = 1; the factor
+        # is e(T'; 1.5) itself
         def make(v):
             return make_problem(rhs_linear([[float(v[0])]]), [1.0], 1.0)
 
-        cp = convolution_powers(kt_stable_512, 28)
-        with pytest.raises(TruncationError):
-            phi_exp_series_curve(cp, 1.5)
         family = ParamFamily(make=make, lip_param=1.0, lip_state=1.5)
         rep = continuity_experiment_parameter(
             family, kt_stable_512, v0=[-1.0], deltas=[0.1, -0.1], R=2.0
@@ -539,7 +534,9 @@ class TestContinuity:
         assert rep.ok
         m = int(round(rep.t_prime / kt_stable_512.grid.step))
         assert m < kt_stable_512.grid.cells
-        assert rep.bound_factor == pytest.approx(phi_exp_series(cp, 1.5, m), rel=2 * SERIES_TOL)
+        assert rep.bound_factor == pytest.approx(
+            phi_exp_grid_curve(kt_stable_512, 1.5)[m], rel=2 * SERIES_TOL
+        )
 
     def test_parameter_horizon_covers_every_perturbation(self, stable_half):
         # F = -y + v from v0 = 0: the horizon of v0 alone is T' = 0.5, on

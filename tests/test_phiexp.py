@@ -3,26 +3,27 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import erfcx, gammaln
 
 from genfrac import (
-    CancellationError,
+    Grid,
     GridFunction,
+    NonconvergenceError,
+    NumericalError,
     TruncationError,
+    build_kernel_table,
     convolution_powers,
     eigen_residual,
     mittag_leffler,
     parse_phi_spec,
+    phi_exp_grid_curve,
     phi_exp_laplace_curve,
-    phi_exp_series,
     phi_exp_series_curve,
     suggest_power_count,
 )
+from genfrac.kernels import INTERIOR_FRAC, _frac_integral_values
 
-from genfrac.mittag import mittag_leffler_tails
-from genfrac.phiexp import CANCELLATION_LIMIT, SERIES_TOL
-
-from conftest import ML_ORACLE
+from conftest import ML_ORACLE, fsum_series
 
 
 def stable_power_oracle(alpha, k, t):
@@ -95,118 +96,76 @@ class TestConvolutionPowers:
             convolution_powers(kt_stable_512, 0)
 
 
-def _reference_terms(cp, lam, K, i):
-    """lam^k u_k(t_i), k = 0..K, one Python float at a time: products while
-    |lam|^K < e^690, else exp(k log|lam| + log u)."""
-    log_space = abs(lam) > 1.0 and K * math.log(abs(lam)) >= 690.0
-    terms = []
-    for k in range(K + 1):
-        u = float(cp.u_star[k, i])
-        if not log_space:
-            terms.append(lam ** k * u)
-        elif u > 0.0:
-            sign = math.copysign(1.0, lam) ** k
-            terms.append(sign * math.exp(k * math.log(abs(lam)) + math.log(u)))
-        else:
-            terms.append(0.0)
-    return terms
-
-
-def _certified_k(cp, lam, i):
-    """First K >= 1 whose majorant tail at node i meets SERIES_TOL against
-    the running sum of the terms there, or None."""
-    beta, c_u = cp.table.beta, cp.table.c_fit
-    x = abs(lam) * c_u * math.gamma(beta) * cp.grid.nodes[i] ** beta
-    tails = cp.table.c_env_U * beta / c_u * mittag_leffler_tails(beta, x, cp.k_max + 1)
-    running = 0.0
-    for K, term in enumerate(_reference_terms(cp, lam, cp.k_max, i)):
-        running += term
-        if K >= 1 and tails[K + 1] <= SERIES_TOL * max(abs(running), 1e-300):
-            return K
-    return None
-
-
-def _series_per_node(cp, lam, i, K):
-    """Reference series value at node i with truncation K: math.fsum of the
-    terms, or None where sum|term| > CANCELLATION_LIMIT * |sum|."""
-    terms = _reference_terms(cp, lam, K, i)
-    total = math.fsum(terms)
-    if math.fsum(map(abs, terms)) > CANCELLATION_LIMIT * max(abs(total), 1e-300):
-        return None
-    return total
-
-
 class TestSeriesRoute:
-    def test_zero_eigenvalue_exact(self, cp_stable_512):
-        assert phi_exp_series(cp_stable_512, 0.0, 256) == 1.0
-        assert np.all(phi_exp_series_curve(cp_stable_512, 0.0) == 1.0)
+    def test_zero_eigenvalue_exact(self, kt_stable_512):
+        assert np.all(phi_exp_grid_curve(kt_stable_512, 0.0) == 1.0)
 
     @pytest.mark.parametrize("lam", [-1.0, 1.0])
-    def test_stable_matches_oracle(self, cp_stable_4096, lam):
-        got = phi_exp_series(cp_stable_4096, lam, 4096)
+    def test_stable_matches_oracle(self, kt_stable_4096, lam):
+        got = phi_exp_grid_curve(kt_stable_4096, lam)[4096]
         assert got == pytest.approx(ML_ORACLE[(0.5, lam)], rel=1e-3)
 
-    def test_curve_matches_pointwise(self, cp_stable_512):
-        # the curve truncates at the worst node, pointwise evaluation per
-        # node; both are certified to 1e-10 relative
-        for lam in (-1.5, 0.7):
-            curve = phi_exp_series_curve(cp_stable_512, lam)
+    def test_curve_matches_pointwise(self, kt_stable_512):
+        # the series curve is the grid curve of the powers' own table, node
+        # for node; 4 powers are far too few to sum the series at lam = 2
+        cp = convolution_powers(kt_stable_512, 4)
+        for lam in (-1.5, 0.7, 2.0):
+            curve = phi_exp_series_curve(cp, lam)
+            grid = phi_exp_grid_curve(kt_stable_512, lam)
             for idx in (0, 128, 512):
-                assert curve[idx] == pytest.approx(
-                    phi_exp_series(cp_stable_512, lam, idx), rel=5e-10
-                )
+                assert curve[idx] == grid[idx]
 
-    def test_stable_identity_on_grid(self, cp_stable_4096):
+    def test_stable_identity_on_grid(self, kt_stable_4096):
         # e(t; lam) = E_alpha(lam t^alpha) in the stable case
-        nodes = cp_stable_4096.grid.nodes
+        nodes = kt_stable_4096.grid.nodes
         for lam in (-2.0, 1.0):
-            curve = phi_exp_series_curve(cp_stable_4096, lam)
+            curve = phi_exp_grid_curve(kt_stable_4096, lam)
             for idx in (16, 256, 2048, 4096):
                 ref = mittag_leffler(0.5, lam * nodes[idx] ** 0.5)
                 assert curve[idx] == pytest.approx(ref, rel=2e-3)
 
-    def test_monotone_shape(self, cp_stable_512):
-        up = phi_exp_series_curve(cp_stable_512, 1.0)
+    def test_monotone_shape(self, kt_stable_512):
+        up = phi_exp_grid_curve(kt_stable_512, 1.0)
         assert np.all(np.diff(up) >= 0)
-        down = phi_exp_series_curve(cp_stable_512, -1.0)
+        down = phi_exp_grid_curve(kt_stable_512, -1.0)
         assert np.all(np.diff(down) <= 1e-15)
         assert np.all((down > 0) & (down <= 1.0))
 
-    def test_truncation_error_when_k_small(self, kt_stable_512):
-        cp = convolution_powers(kt_stable_512, 4)
-        with pytest.raises(TruncationError):
-            phi_exp_series(cp, 2.0, 512)
-
-    @pytest.mark.parametrize(
-        "lam, reason",
-        [
-            # the grid's terms still grow past the certified K = 173 (and its
-            # powers underflow to 0 at T from k = 243 on): the curve read
-            # 1.45e50 where the grid resolvent gives 2.92e52
-            (30.0, "certified tail"),
-            # u_243(T) underflows while the terms still grow: the curve read
-            # -3.3e182 for a value in (0, 1]
-            (-100.0, "underflows"),
-        ],
-    )
-    def test_powers_that_contradict_the_certificate_are_refused(self, mixture_phi, lam, reason):
-        from genfrac import Grid, build_kernel_table
-
+    def test_underflowing_powers_give_the_grid_sum(self, mixture_phi):
+        # u_k(T) falls below the smallest normal double from k = 243 on and
+        # the terms still grow past the 173 powers the envelope asks for: a
+        # sum of the stored powers read 1.45e50
         kt = build_kernel_table(mixture_phi, Grid(1.0, 64))
-        cp = convolution_powers(kt, suggest_power_count(kt, lam))
-        with pytest.raises(TruncationError, match=reason):
-            phi_exp_series_curve(cp, lam)
+        e = phi_exp_series_curve(convolution_powers(kt, 173), 30.0)
+        assert e[-1] == pytest.approx(2.92e52, rel=1e-2)
+        resid = e - 1.0 - 30.0 * _frac_integral_values(kt.u_cell, e[:, None])[:, 0]
+        assert np.max(np.abs(resid) / np.abs(e)) <= 1e-13
 
-    def test_cancellation_refusal(self, kt_stable_512):
-        k = suggest_power_count(kt_stable_512, -6.0)
-        cp = convolution_powers(kt_stable_512, k)
-        with pytest.raises(CancellationError):
-            phi_exp_series(cp, -6.0, 512)
+    def test_divergent_grid_series_is_refused(self, mixture_phi):
+        # |lam| W_0 / 2 = 2.58: a sum of the stored powers read -3.3e182
+        # for a value in (0, 1]
+        kt = build_kernel_table(mixture_phi, Grid(1.0, 64))
+        with pytest.raises(NonconvergenceError, match="diverges"):
+            phi_exp_series_curve(convolution_powers(kt, 173), -100.0)
 
-    def test_curve_cancellation_refusal(self, kt_stable_512):
-        cp = convolution_powers(kt_stable_512, suggest_power_count(kt_stable_512, -6.0))
-        with pytest.raises(CancellationError, match=r"node \d+"):
-            phi_exp_series_curve(cp, -6.0)
+    def test_answers_where_the_series_cancelled(self, kt_stable_512):
+        # sum|term| / |sum| passes 1e6 here, where a sum of powers refused
+        e = phi_exp_grid_curve(kt_stable_512, -6.0)
+        t = kt_stable_512.grid.nodes
+        interior = t >= INTERIOR_FRAC * t[-1]
+        assert np.max(np.abs(e - erfcx(6.0 * np.sqrt(t)))[interior]) <= 5e-4
+
+    def test_sup_error_falls_under_refinement(self, kt_stable_512, kt_stable_1024):
+        errs = []
+        for kt in (kt_stable_512, kt_stable_1024):
+            e = phi_exp_grid_curve(kt, -6.0)
+            errs.append(np.max(np.abs(e - erfcx(6.0 * np.sqrt(kt.grid.nodes)))))
+        assert errs[1] < errs[0]
+
+    def test_overflow_is_numerical_error(self, kt_stable_1024):
+        # |lam| W_0 / 2 = 0.53, but e(1; 30) = E_1/2(30) ~ 1e391
+        with pytest.raises(NumericalError, match="overflowed"):
+            phi_exp_grid_curve(kt_stable_1024, 30.0)
 
     @pytest.mark.parametrize(
         "spec, lam",
@@ -218,30 +177,16 @@ class TestSeriesRoute:
         + [("stable:0.3", 4.0)],
     )
     def test_matches_per_node_fsum_reference(self, spec, lam):
-        """Point and curve against math.fsum node by node: 1e-15 relative
-        where the terms are products, 1e-12 where they are formed in log
-        space (exp and log may differ by an ulp between numpy and math).
-        A refusing curve names the first node whose sum the reference refuses."""
-        from genfrac import Grid, build_kernel_table
-
+        """The grid curve against the paper's identity e = sum_k lam^k u_k,
+        summed by math.fsum over the powers at every node where the sum
+        keeps its digits, sum|term| <= 1e6 |sum|."""
         kt = build_kernel_table(parse_phi_spec(spec), Grid(1.0, 512))
         cp = convolution_powers(kt, suggest_power_count(kt, lam))
-        log_space = cp.k_max * math.log(abs(lam)) >= 690.0
-        rel = 1e-12 if log_space else 1e-15
-        for i in range(0, 513, 8):
-            ref = _series_per_node(cp, lam, i, _certified_k(cp, lam, i))
-            if ref is None:
-                with pytest.raises(CancellationError, match=rf"node {i}\b"):
-                    phi_exp_series(cp, lam, i)
-            else:
-                assert phi_exp_series(cp, lam, i) == pytest.approx(ref, rel=rel, abs=0.0)
-        K = _certified_k(cp, lam, 512)
-        ref = [_series_per_node(cp, lam, i, K) for i in range(513)]
-        if None in ref:
-            with pytest.raises(CancellationError, match=rf"node {ref.index(None)}\b"):
-                phi_exp_series_curve(cp, lam)
-        else:
-            assert phi_exp_series_curve(cp, lam) == pytest.approx(ref, rel=rel, abs=0.0)
+        total, gross = fsum_series(cp, lam)
+        kept = gross <= 1e6 * np.abs(total)
+        assert kept.sum() > 256
+        got = phi_exp_grid_curve(kt, lam)
+        assert got[kept] == pytest.approx(total[kept], rel=1e-9, abs=0.0)
 
     def test_suggest_power_count_scales(self, kt_stable_512):
         assert suggest_power_count(kt_stable_512, 0.0) == 1
@@ -250,8 +195,6 @@ class TestSeriesRoute:
         assert small < large <= 200
 
     def test_uncertifiable_lambda_refused_quickly(self, stable_half):
-        from genfrac import Grid, build_kernel_table
-
         kt = build_kernel_table(stable_half, Grid(1.0, 256))
         start = time.perf_counter()
         with pytest.raises(TruncationError):
@@ -275,11 +218,11 @@ class TestSeriesRoute:
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lambda_rejected(self, stable_half, kt_stable_512, cp_stable_512, lam):
         # refused before any tail sum spends its term budget (nan stalled the
-        # series route for minutes)
+        # power count for minutes)
         with pytest.raises(ValueError, match="finite"):
             suggest_power_count(kt_stable_512, lam)
         with pytest.raises(ValueError, match="finite"):
-            phi_exp_series(cp_stable_512, lam, 512)
+            phi_exp_grid_curve(kt_stable_512, lam)
         with pytest.raises(ValueError, match="finite"):
             phi_exp_series_curve(cp_stable_512, lam)
         with pytest.raises(ValueError, match="finite"):
@@ -300,56 +243,31 @@ class TestLaplaceRoute:
         assert got[0] == pytest.approx(ML_ORACLE[(0.5, -1.0)], rel=1e-4)
 
     def test_tempered_cross_route(self, kt_tempered_512, tempered_half):
-        k = suggest_power_count(kt_tempered_512, -1.0)
-        cp = convolution_powers(kt_tempered_512, k)
-        series = phi_exp_series(cp, -1.0, 512)
+        series = phi_exp_grid_curve(kt_tempered_512, -1.0)[512]
         laplace = phi_exp_laplace_curve(tempered_half, -1.0, [1.0])[0]
         assert abs(series - laplace) <= 1e-3
 
 
 @pytest.fixture(scope="module")
 def fine_tables(catalog_phis):
-    from genfrac import Grid, build_kernel_table
-
     return {phi.label: build_kernel_table(phi, Grid(1.0, 16384)) for phi in catalog_phis}
 
 
 @pytest.fixture(scope="module")
 def kind_tables(catalog_phis):
-    from genfrac import Grid, build_kernel_table
-
-    out = []
-    for phi in catalog_phis:
-        kt = build_kernel_table(phi, Grid(1.0, 2048))
-        cp = convolution_powers(kt, suggest_power_count(kt, 2.0))
-        out.append((phi, kt, cp))
-    return out
+    return [(phi, build_kernel_table(phi, Grid(1.0, 2048))) for phi in catalog_phis]
 
 
 class TestRouteAgreement:
-    #: first node of 512, 1024, 2048 at which the series refuses; the powers
-    #: are sized for lam = 2, and lam = -5 outruns their certificate
-    REFUSES_FROM = {
-        ("stable:0.5", -5.0): 512,
-        ("tempered:0.5,1", -5.0): 512,
-        ("mixture:0.3@0.4+0.7@0.8", -5.0): 1024,
-    }
-
     @pytest.mark.parametrize("lam", [-5.0, -1.0, 0.0, 1.0, 2.0])
     def test_all_catalog_kinds(self, kind_tables, lam):
-        # the series agrees with the Laplace route where it certifies its
-        # value and refuses where it does not: no route stands in for another
+        # the grid series and the Laplace route are independent: neither
+        # stands in for the other
         idx = [512, 1024, 2048]
-        for phi, kt, cp in kind_tables:
-            first_refusal = self.REFUSES_FROM.get((phi.label, lam), math.inf)
+        for phi, kt in kind_tables:
             lap = phi_exp_laplace_curve(phi, lam, kt.grid.nodes[idx])
-            for i, ref in zip(idx, lap):
-                if i >= first_refusal:
-                    with pytest.raises((CancellationError, TruncationError)):
-                        phi_exp_series(cp, lam, i)
-                else:
-                    val = phi_exp_series(cp, lam, i)
-                    assert abs(val - ref) <= 1e-3 * (1.0 + abs(ref))
+            for val, ref in zip(phi_exp_grid_curve(kt, lam)[idx], lap):
+                assert abs(val - ref) <= 1e-3 * (1.0 + abs(ref))
 
 
 class TestEigenResidual:
@@ -358,8 +276,8 @@ class TestEigenResidual:
         assert eigen_residual(kt_stable_512, 0.0, e) == 0.0
 
     @pytest.mark.parametrize("lam", [-1.0, 1.0])
-    def test_stable_eigenfunctions(self, kt_stable_4096, cp_stable_4096, lam):
-        curve = phi_exp_series_curve(cp_stable_4096, lam)
+    def test_stable_eigenfunctions(self, kt_stable_4096, lam):
+        curve = phi_exp_grid_curve(kt_stable_4096, lam)
         e = GridFunction(kt_stable_4096.grid, curve)
         res = eigen_residual(kt_stable_4096, lam, e)
         assert res <= 5e-2 * float(np.abs(curve).max())

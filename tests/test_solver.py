@@ -14,7 +14,7 @@ from genfrac import (
     make_problem,
     mittag_leffler,
     neumann_affine_solve,
-    phi_exp_series,
+    phi_exp_grid_curve,
     pick_bielecki_tau,
     picard_solve,
     rhs_constant,
@@ -301,9 +301,9 @@ class TestNeumann:
         out = neumann_affine_solve(kt_stable_4096, [[-1.0]], [0.0], [1.0])
         assert out.scalar()[-1] == pytest.approx(ML_ORACLE[(0.5, -1.0)], abs=5e-3)
 
-    def test_growth_matches_series_route(self, kt_stable_4096, cp_stable_4096):
+    def test_growth_matches_series_route(self, kt_stable_4096):
         out = neumann_affine_solve(kt_stable_4096, [[1.0]], [0.0], [1.0])
-        series = phi_exp_series(cp_stable_4096, 1.0, 4096)
+        series = phi_exp_grid_curve(kt_stable_4096, 1.0)[4096]
         assert out.scalar()[-1] == pytest.approx(series, abs=5e-3)
 
     def test_agrees_with_picard(self, kt_stable_512):
