@@ -16,6 +16,13 @@ Reproducibility: every path owns a counter-based stream keyed by
 (seed, path index), and reductions use numpy's fixed pairwise order, so
 results are bit-identical for a given seed regardless of call order.
 
+Tempered rejection evaluates little more than the proposals it keeps: a
+batch draws all its uniforms in the fixed order, maps and tests a head sized
+to the expected need, and evaluates the rest only when the head falls
+short.  The tempered Laplace-exponent check evaluates the first batch of
+256 paths at a time.  Neither changes the draw order or a single bit of
+what is drawn.
+
 Shared draw: the draw of the last (config, targets) pair is kept, one
 draw only, so the estimators of one config read the same draw instead of
 redrawing it.  A repeat is bit-identical to a fresh draw, since a miss
@@ -55,6 +62,9 @@ __all__ = [
 _MAX_STEPS_PER_PATH = 5_000_000
 #: increments per block of a tempered first-passage path
 _BLOCK = 2048
+#: paths per slab of the tempered Laplace-exponent check
+_ROWS = 256
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -118,17 +128,47 @@ def sample_stable_increment(alpha: float, dt: float, rng: np.random.Generator, s
     E[exp(-lam X)] = exp(-dt lam^alpha), scaled by dt^(1/alpha).
     """
     shape = (size,) if isinstance(size, int) else size
-    u = rng.random(shape) * math.pi
-    w = rng.random(shape)
-    e = -np.log(np.where(w > 0, w, np.finfo(float).tiny))
+    out = _stable_map(alpha, dt, rng.random(shape), rng.random(shape))
+    return float(out) if size is None else out
+
+
+def _stable_map(alpha: float, dt: float, u01, w):
+    """The stable increments that uniforms u01 (angle) and w (exponential)
+    map to, elementwise, for arrays of any shape or for scalars."""
+    u = u01 * math.pi
+    e = -np.log(np.where(w > 0, w, _TINY))
     frac = (1.0 - alpha) / alpha
     amp = (
         np.sin((1.0 - alpha) * u)
         * np.sin(alpha * u) ** (alpha / (1.0 - alpha))
         / np.sin(u) ** (1.0 / (1.0 - alpha))
     )
-    out = dt ** (1.0 / alpha) * (amp / e) ** frac
-    return float(out) if size is None else out
+    return dt ** (1.0 / alpha) * (amp / e) ** frac
+
+
+def _tilt_rate(alpha: float, theta: float, dt: float) -> float:
+    """Expected acceptance rate of the tilting rejection; below 1e-3 it is
+    refused, since nearly every proposal would be thrown away."""
+    rate = math.exp(-dt * theta ** alpha)
+    if rate < 1e-3:
+        raise ValueError(
+            f"tilting acceptance rate {rate:.2e} < 1e-3; decrease dt (or theta)"
+        )
+    return rate
+
+
+def _tempered_batch(need: int, rate: float) -> int:
+    """Proposals one rejection batch draws for ``need`` more increments."""
+    return max(16, int(need / rate * 1.2) + 8)
+
+
+def _accepted(alpha: float, theta: float, dt: float, block: np.ndarray, lo: int, hi: int):
+    """Stable proposals lo..hi-1 of the last axis of ``block``, a batch's
+    uniforms laid out as [u | w | acceptance], and the mask of those the
+    tilt exp(-theta X) accepts."""
+    b = block.shape[-1] // 3
+    x = _stable_map(alpha, dt, block[..., lo:hi], block[..., b + lo : b + hi])
+    return x, block[..., 2 * b + lo : 2 * b + hi] < np.exp(-theta * x)
 
 
 def sample_tempered_increment(
@@ -138,22 +178,28 @@ def sample_tempered_increment(
 
     Stable proposals are accepted with probability exp(-theta X); the
     expected acceptance rate is exp(-dt theta^alpha) and the draw order is
-    preserved, keeping per-path streams reproducible.
+    preserved, keeping per-path streams reproducible.  A batch draws the
+    uniforms of all its proposals (angles, then exponentials, then
+    acceptance uniforms), but maps and tests only a head sized to the
+    expected need; the rest of the batch is evaluated only when the head
+    falls short.  The proposals kept, and so the bytes, are those of
+    evaluating the whole batch.
     """
-    rate = math.exp(-dt * theta ** alpha)
-    if rate < 1e-3:
-        raise ValueError(
-            f"tilting acceptance rate {rate:.2e} < 1e-3; decrease dt (or theta)"
-        )
+    rate = _tilt_rate(alpha, theta, dt)
     n = 1 if size is None else int(size)
     out = np.empty(n)
     filled = 0
     while filled < n:
-        batch = max(16, int((n - filled) / rate * 1.2) + 8)
-        x = sample_stable_increment(alpha, dt, rng, size=batch)
-        accept = rng.random(batch) < np.exp(-theta * x)
+        need = n - filled
+        batch = _tempered_batch(need, rate)
+        block = rng.random(3 * batch)
+        head = min(batch, int(need / rate) + 16)
+        x, accept = _accepted(alpha, theta, dt, block, 0, head)
         got = x[accept]
-        take = min(n - filled, got.shape[0])
+        if got.shape[0] < need and head < batch:
+            x, accept = _accepted(alpha, theta, dt, block, head, batch)
+            got = np.concatenate([got, x[accept]])
+        take = min(need, got.shape[0])
         out[filled : filled + take] = got[:take]
         filled += take
     return float(out[0]) if size is None else out
@@ -221,6 +267,7 @@ def _inverse_values(cfg: McConfig, target_key: tuple) -> np.ndarray:
     streams = _path_streams(cfg.seed, cfg.n_paths)
     if cfg.phi.kind == "stable":
         alpha = cfg.phi.alpha
+        # kept scalar: np.float64 ** is libm pow, which numpy's array pow can differ from
         s = np.array([sample_stable_increment(alpha, 1.0, rng) for rng in streams])
         out[:] = (targets[None, :] / s[:, None]) ** alpha
     else:
@@ -315,7 +362,11 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
     """Empirical E[exp(-lam sigma(dt))] against exp(-dt phi(lam)).
 
     One increment per path (the first of its stream); rows are dicts with
-    the empirical mean m, its standard error and the analytic target.  The
+    the empirical mean m, its standard error and the analytic target.
+    Tempered paths are drawn in slabs of 256, with one stable map and one
+    tilt test per slab over each path's first rejection batch; a path
+    whose batch accepts nothing is redrawn by the scalar sampler.  The
+    draw order and the bytes are those of one scalar draw per path.  The
     samples lie in [0, 1], so their variance is at most m (1 - m); the
     standard error is that bound, sqrt(m (1 - m) / n), because a few rare
     large increments dominate the sample's own spread and make it
@@ -324,9 +375,12 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
     """
     if any(not lam >= 0 for lam in lambdas):
         raise ValueError(f"laplace_exponent_check needs lam >= 0, got {list(lambdas)}")
-    inc = np.array(
-        [_draw_increments(cfg, rng, None) for rng in _path_streams(cfg.seed, cfg.n_paths)]
-    )
+    streams = _path_streams(cfg.seed, cfg.n_paths)
+    if cfg.phi.kind == "stable":
+        # kept scalar: np.float64 ** is libm pow, which numpy's array pow can differ from
+        inc = np.array([_draw_increments(cfg, rng, None) for rng in streams])
+    else:
+        inc = _first_tempered_increments(cfg, streams)
     rows = []
     for lam in lambdas:
         m = float(np.mean(np.exp(-lam * inc)))
@@ -339,6 +393,28 @@ def laplace_exponent_check(cfg: McConfig, lambdas: Sequence[float]) -> list:
             }
         )
     return rows
+
+
+def _first_tempered_increments(cfg: McConfig, streams) -> np.ndarray:
+    """The first tempered increment of each path's stream, bit for bit
+    ``sample_tempered_increment(..., rng)`` with size None per path."""
+    alpha, theta, dt = cfg.phi.alpha, cfg.phi.theta, cfg.dt
+    rate = _tilt_rate(alpha, theta, dt)
+    b0 = _tempered_batch(1, rate)
+    slab = np.empty((_ROWS, 3 * b0))
+    inc = np.empty(cfg.n_paths)
+    for lo in range(0, cfg.n_paths, _ROWS):
+        rows = slab[: min(_ROWS, cfg.n_paths - lo)]
+        for row in rows:
+            next(streams).random(out=row)
+        x, accept = _accepted(alpha, theta, dt, rows, 0, b0)
+        first = accept.argmax(axis=1)
+        inc[lo : lo + rows.shape[0]] = x[np.arange(rows.shape[0]), first]
+        for j in np.flatnonzero(~accept.any(axis=1)):
+            key = np.array([cfg.seed, lo + j], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            inc[lo + j] = sample_tempered_increment(alpha, theta, dt, rng)
+    return inc
 
 
 def tail_bound_check(cfg: McConfig, t: float, s_values: Sequence[float], x: float) -> list:

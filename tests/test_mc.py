@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,116 @@ class TestTemperedSampler:
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError, match="acceptance rate"):
             sample_tempered_increment(0.5, 1.0, 60.0, rng, size=10)
+
+
+def _full_batch_tempered(alpha, theta, dt, rng, size=None):
+    """Reference tempered sampler: every proposal of every batch is mapped
+    and tested, in the draw order of the library sampler."""
+    rate = math.exp(-dt * theta ** alpha)
+    n = 1 if size is None else int(size)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        batch = max(16, int((n - filled) / rate * 1.2) + 8)
+        x = sample_stable_increment(alpha, dt, rng, size=batch)
+        accept = rng.random(batch) < np.exp(-theta * x)
+        got = x[accept]
+        take = min(n - filled, got.shape[0])
+        out[filled : filled + take] = got[:take]
+        filled += take
+    return float(out[0]) if size is None else out
+
+
+def _keyed(seed, i):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+
+
+#: (alpha, theta, dt); the last accepts at rate exp(-3), so heads fall short
+#: and single-path batches accept nothing
+TILTS = [(0.5, 1.0, 1e-3), (0.3, 2.0, 1e-3), (0.9, 2.0, 1e-3), (0.5, 9e4, 0.01)]
+
+
+class TestTemperedDrawBytes:
+    """The tempered sampler and check evaluate only part of what they draw;
+    what they return is bit for bit the full-batch reference."""
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    @pytest.mark.parametrize("size", [None, 1, 7, 2048, 5000])
+    def test_sampler_matches_full_batch(self, tilt, size):
+        for key in range(3):
+            got = sample_tempered_increment(*tilt, _keyed(key, 1), size=size)
+            ref = _full_batch_tempered(*tilt, _keyed(key, 1), size=size)
+            assert type(got) is type(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_low_rate_evaluates_the_rest_of_a_batch(self, monkeypatch):
+        rests = []
+        accepted = mc._accepted
+
+        def spy(alpha, theta, dt, block, lo, hi):
+            rests.append(lo > 0)
+            return accepted(alpha, theta, dt, block, lo, hi)
+
+        monkeypatch.setattr(mc, "_accepted", spy)
+        got = sample_tempered_increment(*TILTS[-1], _keyed(0, 0), size=2048)
+        assert any(rests)
+        assert got.tobytes() == _full_batch_tempered(*TILTS[-1], _keyed(0, 0), size=2048).tobytes()
+
+    @pytest.mark.parametrize("tilt", TILTS)
+    def test_laplace_exponent_rows_match_per_path_loop(self, tilt, monkeypatch):
+        alpha, theta, dt = tilt
+        cfg = McConfig(phi=BernsteinFunction.tempered(alpha, theta), n_paths=600, dt=dt,
+                       t_max=1.0, seed=11)
+        ref = np.array([_full_batch_tempered(alpha, theta, dt, _keyed(cfg.seed, i))
+                        for i in range(cfg.n_paths)])
+        redrawn = []
+        scalar = mc.sample_tempered_increment
+
+        def spy(*args, **kwargs):
+            redrawn.append(args)
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "sample_tempered_increment", spy)
+        got = mc._first_tempered_increments(cfg, _path_streams(cfg.seed, cfg.n_paths))
+        assert got.tobytes() == ref.tobytes()
+        if theta > 1e3:
+            assert redrawn  # rows whose first batch accepts nothing
+        lams = [0.5, 1.0, 2.0]
+        rows = laplace_exponent_check(cfg, lams)
+        assert [row["empirical"] for row in rows] == [
+            float(np.mean(np.exp(-lam * ref))) for lam in lams
+        ]
+
+    @pytest.mark.parametrize("tilt, targets", [
+        ((0.5, 1.0, 1e-3), (3.0, 0.5, 1.0)),  # about three blocks per path
+        ((0.5, 1e4, 0.01), (0.05, 0.2, 0.1)),  # rate exp(-1), two blocks
+    ])
+    def test_inverse_values_match_per_path_loop(self, tilt, targets):
+        alpha, theta, dt = tilt
+        cfg = McConfig(phi=BernsteinFunction.tempered(alpha, theta), n_paths=100, dt=dt,
+                       t_max=max(targets + (1.0,)), seed=4)
+        ref = np.empty((cfg.n_paths, len(targets)))
+        blocks = 0
+        for i in range(cfg.n_paths):
+            rng = _keyed(cfg.seed, i)
+            chunks, total = [], 0.0
+            while total <= max(targets):
+                chunks.append(_full_batch_tempered(alpha, theta, dt, rng, size=mc._BLOCK))
+                total += float(chunks[-1].sum())
+            blocks += len(chunks)
+            ref[i] = inverse_passage(np.concatenate(chunks), np.array(targets), dt)
+        assert blocks >= 2 * cfg.n_paths
+        assert sample_inverse_values(cfg, targets).tobytes() == ref.tobytes()
+
+    def test_laplace_exponent_check_memory(self, tempered_half):
+        cfg = McConfig(phi=tempered_half, n_paths=5000, dt=1e-3, t_max=1.0, seed=0)
+        tracemalloc.start()
+        try:
+            laplace_exponent_check(cfg, [0.5, 1.0, 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestInversePassage:
