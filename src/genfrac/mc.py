@@ -97,6 +97,11 @@ class McEstimate:
     n_effective: int
 
 
+def _path_key(seed: int, i: int) -> np.ndarray:
+    """Philox key of path i's stream."""
+    return np.array([seed, i], dtype=np.uint64)
+
+
 def _path_streams(seed: int, n_paths: int):
     """Yield the stream of path i = 0..n_paths-1, each bit-identical to
     ``Generator(Philox(key=[seed, i]))``.
@@ -106,13 +111,13 @@ def _path_streams(seed: int, n_paths: int):
     from the OS only to have the key override it.  A yielded generator is
     therefore valid only until the next one is yielded.
     """
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bitgen = np.random.Philox(key=_path_key(seed, 0))
     rng = np.random.Generator(bitgen)
     zeros = np.zeros(4, dtype=np.uint64)
     for i in range(n_paths):
         bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": np.array([seed, i], dtype=np.uint64)},
+            "state": {"counter": zeros, "key": _path_key(seed, i)},
             "buffer": zeros,
             "buffer_pos": 4,
             "has_uint32": 0,
@@ -162,12 +167,30 @@ def _tempered_batch(need: int, rate: float) -> int:
     return max(16, int(need / rate * 1.2) + 8)
 
 
-def _accepted(alpha: float, theta: float, dt: float, block: np.ndarray, lo: int, hi: int):
+class _Drawn:
+    """Stands in for a generator whose ``random`` calls return the given
+    arrays in turn, so that ``sample_stable_increment`` maps uniforms that
+    were drawn beforehand."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def random(self, shape):
+        return next(self._arrays)
+
+
+def _stable_proposals(alpha: float, dt: float, u01, w):
+    """``_stable_map`` by way of the public ``sample_stable_increment``, so
+    that the tempered sampler's proposals still come from the stable one."""
+    return sample_stable_increment(alpha, dt, _Drawn(u01, w), u01.shape)
+
+
+def _accepted(alpha, theta, dt, block: np.ndarray, lo: int, hi: int, stable=_stable_map):
     """Stable proposals lo..hi-1 of the last axis of ``block``, a batch's
-    uniforms laid out as [u | w | acceptance], and the mask of those the
-    tilt exp(-theta X) accepts."""
+    uniforms laid out as [u | w | acceptance], mapped by ``stable``, and the
+    mask of those the tilt exp(-theta X) accepts."""
     b = block.shape[-1] // 3
-    x = _stable_map(alpha, dt, block[..., lo:hi], block[..., b + lo : b + hi])
+    x = stable(alpha, dt, block[..., lo:hi], block[..., b + lo : b + hi])
     return x, block[..., 2 * b + lo : 2 * b + hi] < np.exp(-theta * x)
 
 
@@ -180,10 +203,10 @@ def sample_tempered_increment(
     expected acceptance rate is exp(-dt theta^alpha) and the draw order is
     preserved, keeping per-path streams reproducible.  A batch draws the
     uniforms of all its proposals (angles, then exponentials, then
-    acceptance uniforms), but maps and tests only a head sized to the
-    expected need; the rest of the batch is evaluated only when the head
-    falls short.  The proposals kept, and so the bytes, are those of
-    evaluating the whole batch.
+    acceptance uniforms), but maps (by ``sample_stable_increment``) and
+    tests only a head sized to the expected need; the rest of the batch is
+    evaluated only when the head falls short.  The proposals kept, and so
+    the bytes, are those of evaluating the whole batch.
     """
     rate = _tilt_rate(alpha, theta, dt)
     n = 1 if size is None else int(size)
@@ -194,10 +217,10 @@ def sample_tempered_increment(
         batch = _tempered_batch(need, rate)
         block = rng.random(3 * batch)
         head = min(batch, int(need / rate) + 16)
-        x, accept = _accepted(alpha, theta, dt, block, 0, head)
+        x, accept = _accepted(alpha, theta, dt, block, 0, head, _stable_proposals)
         got = x[accept]
         if got.shape[0] < need and head < batch:
-            x, accept = _accepted(alpha, theta, dt, block, head, batch)
+            x, accept = _accepted(alpha, theta, dt, block, head, batch, _stable_proposals)
             got = np.concatenate([got, x[accept]])
         take = min(need, got.shape[0])
         out[filled : filled + take] = got[:take]
@@ -411,8 +434,7 @@ def _first_tempered_increments(cfg: McConfig, streams) -> np.ndarray:
         first = accept.argmax(axis=1)
         inc[lo : lo + rows.shape[0]] = x[np.arange(rows.shape[0]), first]
         for j in np.flatnonzero(~accept.any(axis=1)):
-            key = np.array([cfg.seed, lo + j], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
+            rng = np.random.Generator(np.random.Philox(key=_path_key(cfg.seed, lo + j)))
             inc[lo + j] = sample_tempered_increment(alpha, theta, dt, rng)
     return inc
 

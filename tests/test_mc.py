@@ -154,14 +154,27 @@ class TestTemperedDrawBytes:
         rests = []
         accepted = mc._accepted
 
-        def spy(alpha, theta, dt, block, lo, hi):
+        def spy(alpha, theta, dt, block, lo, hi, stable):
             rests.append(lo > 0)
-            return accepted(alpha, theta, dt, block, lo, hi)
+            return accepted(alpha, theta, dt, block, lo, hi, stable)
 
         monkeypatch.setattr(mc, "_accepted", spy)
         got = sample_tempered_increment(*TILTS[-1], _keyed(0, 0), size=2048)
         assert any(rests)
         assert got.tobytes() == _full_batch_tempered(*TILTS[-1], _keyed(0, 0), size=2048).tobytes()
+
+    def test_sampler_maps_proposals_by_the_public_stable_sampler(self, monkeypatch):
+        calls = []
+        stable = mc.sample_stable_increment
+
+        def spy(alpha, dt, rng, size=None):
+            calls.append(size)
+            return stable(alpha, dt, rng, size)
+
+        monkeypatch.setattr(mc, "sample_stable_increment", spy)
+        got = sample_tempered_increment(*TILTS[0], _keyed(0, 0), size=64)
+        assert calls == [(80,)]  # the head of an 84-proposal batch
+        assert got.tobytes() == _full_batch_tempered(*TILTS[0], _keyed(0, 0), size=64).tobytes()
 
     @pytest.mark.parametrize("tilt", TILTS)
     def test_laplace_exponent_rows_match_per_path_loop(self, tilt, monkeypatch):
