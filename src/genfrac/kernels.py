@@ -20,13 +20,15 @@ Every memory integral and derivative reduces to one history sum,
 ``_conv_prefix``, over a window of its outputs: the whole prefix, the new
 cells of a continuation segment, or one block of the forward solve.  A
 window up to one block wide is a direct convolution, a wider one a
-block-Toeplitz GEMM over the output blocks it covers; each output is the
-sum of the same products as direct summation.  Nonnegative values that
-span many orders of magnitude (the convolution powers) therefore keep
-their componentwise relative accuracy, which an FFT, whose error is
-relative to the largest output, loses.  The resolvent solve
-``_resolvent_solve`` marches forward in blocks, each block's history one
-windowed sum.
+block-Toeplitz GEMM over the output blocks it covers.  There the cells
+and outputs lie block by block along rows, and each lag's symmetric
+Hankel block multiplies from the right, so every GEMM adds into
+unit-stride rows; each output is still the sum of the same products as
+direct summation.  Nonnegative values that span many orders of magnitude
+(the convolution powers) therefore keep their componentwise relative
+accuracy, which an FFT, whose error is relative to the largest output,
+loses.  The resolvent solve ``_resolvent_solve`` marches forward in
+blocks, each block's history one windowed sum.
 """
 
 from __future__ import annotations
@@ -147,10 +149,15 @@ def _conv_prefix(kernel: np.ndarray, cells: np.ndarray, first: int = 0, stop=Non
     thread count.  A wider window is a block-Toeplitz product over the
     output blocks it covers: the cells fall into blocks of b, and the lag-k
     block of the Toeplitz matrix, with its columns newest-first, is the
-    Hankel window ``padded[k*b + p + q]`` of the kernel behind b - 1 zeros
-    (the zeros make the diagonal block lower triangular).  One GEMM per lag
-    takes every column at once.  Either way every output stays a sum of
-    the same products as direct summation.
+    Hankel window ``h_k[p, q] = padded[k*b + p + q]`` of the kernel behind
+    b - 1 zeros (the zeros make the diagonal block lower triangular).  Each
+    cell block lies newest-first along a row, one row per column of
+    ``cells``, and each output block is a row block of the same layout, so
+    one GEMM per lag, ``out[rows of I] += vt[rows of I-k] @ h_k``, takes
+    every column at once and adds into unit-stride rows.  h_k is symmetric,
+    so multiplying it from the right gives the transposed Toeplitz product.
+    Either way every output stays a sum of the same products as direct
+    summation.
     """
     n = len(cells)
     stop = n if stop is None else stop
@@ -186,20 +193,21 @@ def _conv_prefix(kernel: np.ndarray, cells: np.ndarray, first: int = 0, stop=Non
     hankel = np.lib.stride_tricks.as_strided(
         padded, shape=(len(padded) - b + 1, b), strides=(step, step), writeable=False
     )
-    # v[q, J*d + c] = cells[J*b + b-1-q, c]: block J newest-first in column block J
-    v = np.zeros((m * b, d))
-    v[:n] = cells.reshape(n, d)
-    v = v.reshape(m, b, d)[:, ::-1].transpose(1, 0, 2).reshape(b, m * d)
-    out = np.zeros((b, (hi_block - lo_block + 1) * d))
+    # vt[J*d + c, q] = cells[J*b + b-1-q, c]: block J newest-first in row block J
+    vt = np.zeros((m * b, d))
+    vt[:n] = cells.reshape(n, d)
+    vt = vt.reshape(m, b, d)[:, ::-1].transpose(0, 2, 1).reshape(m * d, b)
+    # out[(I - lo_block)*d + c, p] is output I*b + p, column c
+    out = np.zeros(((hi_block - lo_block + 1) * d, b))
     for k in range(max(0, lo_block - m + 1), hi_block + 1):
         # output blocks I in [i0, i1] read cell blocks I - k
         i0, i1 = max(lo_block, k), min(hi_block, k + m - 1)
         # a unit-stride copy of the b x b block lets the product run in BLAS
         h_k = np.ascontiguousarray(hankel[k * b : (k + 1) * b])
-        out[:, (i0 - lo_block) * d : (i1 - lo_block + 1) * d] += (
-            h_k @ v[:, (i0 - k) * d : (i1 - k + 1) * d]
+        out[(i0 - lo_block) * d : (i1 - lo_block + 1) * d] += (
+            vt[(i0 - k) * d : (i1 - k + 1) * d] @ h_k
         )
-    rows = out.reshape(b, -1, d).transpose(1, 0, 2).reshape(-1, d)
+    rows = out.reshape(-1, d, b).transpose(0, 2, 1).reshape(-1, d)
     return rows[first - lo_block * b : stop - lo_block * b].reshape(shape)
 
 

@@ -10,10 +10,12 @@ run rather than projecting back, since it signals a misconfigured (R, T').
 
 One segment routine does all the sweeping.  It iterates the cells after
 a solved prefix while the memory integral over that prefix stays frozen,
-in the ball around the prefix's terminal value.  :func:`picard_solve` is
-the first segment, a continuation from the empty history f(0) = f0;
-:func:`continue_solution` extends a solved prefix, and
-:func:`solve_to_horizon` chains segments to the end of the grid.
+in the ball around the prefix's terminal value, and returns the values on
+its own nodes only.  :func:`picard_solve` is the first segment, a
+continuation from the empty history f(0) = f0; :func:`continue_solution`
+extends a solved prefix, and :func:`solve_to_horizon` chains segments to
+the end of the grid in one values array, so a segment costs its history
+window and its sweeps and never copies or re-checks the solved prefix.
 """
 
 from __future__ import annotations
@@ -77,8 +79,22 @@ def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float) -> int:
 
 def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> int:
     """Index m of the largest node T' = t_m <= T with c_bound(R + |f0|) * U(T') < R."""
-    r_tilde = R + float(np.linalg.norm(problem.f0))
-    return _horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R)
+    return _segment_end(problem, kt, problem.f0, 0, R)
+
+
+def _segment_end(problem: IvpProblem, kt: KernelTable, f_end: np.ndarray, mp: int, R: float) -> int:
+    """Last node of the segment that starts at node mp from the value f_end:
+    as many cells as the horizon rule allows in the ball around f_end,
+    capped at the end of the grid."""
+    r_tilde = R + float(np.linalg.norm(f_end))
+    steps = _horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R)
+    return mp + min(steps, kt.grid.cells - mp)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real array: the arithmetic of
+    ``np.linalg.norm(x, axis=1)`` without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
@@ -129,7 +145,8 @@ def _solve_segment(
     the case mp = 0 with ``prior = [f0]``.  The memory integral over the
     solved cells is evaluated once and held fixed, and the iterate, started
     from ``start`` (values at nodes mp..m), stays in the ball of radius R
-    around f(t_mp).  Returns (solution on nodes 0..m, state).
+    around f(t_mp).  Returns (values at nodes mp..m, state); the value at
+    node mp is ``prior[-1]``.
     """
     if not 0 < R < np.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
@@ -174,13 +191,13 @@ def _solve_segment(
     ratios: List[float] = []
     for it in range(1, max_iter + 1):
         new = sweep(f)
-        drift = np.linalg.norm(new - centre, axis=1)
+        drift = _row_norms(new - centre)
         if float(drift.max()) > R * (1 + 1e-9):
             raise ConfinementError(
                 f"iterate left the ball of radius R={R:g} around f(t_{mp}) at "
                 f"iteration {it} (max drift {drift.max():.6g}); reselect R or T'"
             )
-        step = np.linalg.norm(new - f, axis=1)
+        step = _row_norms(new - f)
         dn = float((step * weights).max())
         norms.append(dn)
         if len(norms) >= 2 and norms[-2] > 0:
@@ -195,8 +212,7 @@ def _solve_segment(
             history=norms,
         )
 
-    residual = float(np.linalg.norm(sweep(f) - f, axis=1).max())
-    sol = GridFunction(kt.grid.prefix(m), np.concatenate((prior[:-1], f)))
+    residual = float(_row_norms(sweep(f) - f).max())
     state = PicardState(
         iteration_count=it,
         bielecki_tau=tau,
@@ -207,7 +223,7 @@ def _solve_segment(
         t_prime=float(nodes[m]),
         r_tilde=r_tilde,
     )
-    return sol, state
+    return f, state
 
 
 def picard_solve(
@@ -243,7 +259,8 @@ def picard_solve(
         if np.linalg.norm(init - problem.f0) > R * (1 + 1e-12):
             raise ValueError("initial iterate must start inside B_R(f0)")
         start = np.tile(init, (m + 1, 1))
-    return _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
+    f, state = _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
+    return GridFunction(kt.grid.prefix(m), f), state
 
 
 def continue_solution(
@@ -273,14 +290,14 @@ def continue_solution(
         raise ValueError("dimension mismatch between prior and problem")
     f_end = prior.values[-1]
     if extend_index is None:
-        r_tilde = R + float(np.linalg.norm(f_end))
-        m = mp + min(_horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R), n - mp)
+        m = _segment_end(problem, kt, f_end, mp, R)
     else:
         m = int(extend_index)
         if not mp < m <= n:
             raise ValueError(f"extend_index must lie in {mp + 1}..{n}")
     start = np.tile(f_end, (m - mp + 1, 1))
-    return _solve_segment(problem, kt, prior.values, m, R, tol, max_iter, start)
+    f, state = _solve_segment(problem, kt, prior.values, m, R, tol, max_iter, start)
+    return GridFunction(kt.grid.prefix(m), np.concatenate((prior.values[:-1], f))), state
 
 
 def solve_to_horizon(
@@ -291,13 +308,28 @@ def solve_to_horizon(
     max_iter: int = 200,
 ):
     """March to the end of the grid by chained restarts; returns
-    (solution, list of per-segment states)."""
-    sol, state = picard_solve(problem, kt, R, tol=tol, max_iter=max_iter)
-    states = [state]
-    while sol.grid.cells < kt.grid.cells:
-        sol, state = continue_solution(problem, kt, sol, R, tol=tol, max_iter=max_iter)
+    (solution, list of per-segment states).
+
+    The same segments as :func:`picard_solve` followed by repeated
+    :func:`continue_solution`, with the same values and states.  Each
+    segment writes its nodes into one values array and reads the solved
+    prefix as a view of it, so a segment costs its history window and its
+    sweeps; the solution is checked and wrapped once, at the end.
+    """
+    n = kt.grid.cells
+    values = np.empty((n + 1, problem.spec.dim))
+    prior = problem.f0[None, :]
+    states = []
+    mp = 0
+    while mp < n:
+        m = _segment_end(problem, kt, prior[-1], mp, R)
+        start = np.tile(prior[-1], (m - mp + 1, 1))
+        f, state = _solve_segment(problem, kt, prior, m, R, tol, max_iter, start)
+        values[mp : m + 1] = f
         states.append(state)
-    return sol, states
+        prior = values[: m + 1]
+        mp = m
+    return GridFunction(kt.grid.prefix(n), values), states
 
 
 def verify_holder(f: GridFunction, beta: float):
@@ -315,7 +347,7 @@ def verify_holder(f: GridFunction, beta: float):
     best = 0.0
     best_pair = (0, 0)
     for lag in range(1, n + 1):
-        diff = np.linalg.norm(vals[lag:] - vals[:-lag], axis=1)
+        diff = _row_norms(vals[lag:] - vals[:-lag])
         i = int(np.argmax(diff))
         ratio = float(diff[i]) / (lag * h) ** beta
         if ratio > best:

@@ -561,11 +561,17 @@ class TestReproducibility:
 
     def test_blas_threads_keep_csv_bytes(self, tmp_path):
         # the history sums and the block solves run through BLAS and LAPACK;
-        # their thread count must not move a digit.  The solve has short
-        # segments past node 10000, whose history is one long direct
-        # convolution, and the instance's 301 nodes span several blocks
-        problem = tmp_path / "logistic.kv"
-        problem.write_text("d = 1\nf0 = 0.4\nT = 1.0\nR = 0.05\nrhs = logistic\nrate = 1.0\n")
+        # their thread count must not move a digit.  The R = 0.05 solve has
+        # short segments past node 10000, whose history is one long direct
+        # convolution; the R = 0.5 solve has segments of 300-1100 cells,
+        # whose sweeps are block-Toeplitz GEMMs; and the instance's 301
+        # nodes span several blocks
+        problems = []
+        for radius in ("0.05", "0.5"):
+            problems.append(tmp_path / f"logistic-{radius}.kv")
+            problems[-1].write_text(
+                f"d = 1\nf0 = 0.4\nT = 1.0\nR = {radius}\nrhs = logistic\nrate = 1.0\n"
+            )
         t = np.linspace(0.0, 1.0, 301)
         instance = tmp_path / "inst.kv"
         instance.write_text(
@@ -575,17 +581,17 @@ class TestReproducibility:
                 for key, vals in (("x", 0.9 * (0.5 + 0.5 * t)), ("a", 0.5 + 0.5 * t), ("g", 1.0 + t))
             )
         )
-        commands = {
-            "eigen.csv": ["eigen", "--phi", "tempered:0.5,1.0", "--lambda", "-1",
-                          "--method", "series", "--N", "4096"],
-            "solve.csv": ["solve", "--phi", "stable:0.5", "--problem", str(problem),
-                          "--N", "16384"],
-            "gronwall.csv": ["gronwall", "--phi", "stable:0.5", "--instance", str(instance)],
-        }
-        for csv_name, argv in commands.items():
+        commands = [
+            ("eigen.csv", ["eigen", "--phi", "tempered:0.5,1.0", "--lambda", "-1",
+                           "--method", "series", "--N", "4096"]),
+            *(("solve.csv", ["solve", "--phi", "stable:0.5", "--problem", str(path),
+                             "--N", "16384"]) for path in problems),
+            ("gronwall.csv", ["gronwall", "--phi", "stable:0.5", "--instance", str(instance)]),
+        ]
+        for case, (csv_name, argv) in enumerate(commands):
             bodies = []
             for threads in ("1", "2"):
-                out = tmp_path / f"{csv_name}-threads{threads}"
+                out = tmp_path / f"{case}-threads{threads}"
                 env = os.environ | {
                     "PYTHONPATH": str(Path(genfrac.__file__).parents[1]),
                     "OPENBLAS_NUM_THREADS": threads,
@@ -596,7 +602,7 @@ class TestReproducibility:
                 )
                 assert proc.returncode == 0, proc.stderr
                 bodies.append((out / csv_name).read_bytes())
-            assert bodies[0] == bodies[1], csv_name
+            assert bodies[0] == bodies[1], argv
 
     def test_solve_rerun_byte_identical(self, problem_file, tmp_path):
         args = ["solve", "--phi", "stable:0.5", "--problem", str(problem_file), "--N", "128"]

@@ -261,6 +261,31 @@ class TestContinuation:
         assert len(states_a) != len(states_b)  # genuinely different schedules
         assert np.abs(a.values - b.values).max() <= 20 * tol
 
+    @pytest.mark.parametrize(
+        "spec, f0, radius, widest",
+        [
+            (rhs_logistic(1.0), [0.4], 0.05, 18),
+            (rhs_logistic(1.0), [0.4], 0.5, 275),
+            (rhs_linear([[-1.0, 0.5], [0.0, -0.5]]), [1.0, 0.5], 0.5, 475),
+        ],
+        ids=["narrow", "wide", "d2"],
+    )
+    def test_march_is_the_public_chain(self, kt_stable_4096, spec, f0, radius, widest):
+        # the march in one values array gives the bytes and states of
+        # picard_solve followed by continue_solution until the grid's end
+        problem = make_problem(spec, f0, 1.0)
+        sol, states = solve_to_horizon(problem, kt_stable_4096, radius)
+        chain, state = picard_solve(problem, kt_stable_4096, radius)
+        chain_states = [state]
+        while chain.grid.cells < 4096:
+            chain, state = continue_solution(problem, kt_stable_4096, chain, radius)
+            chain_states.append(state)
+        ends = [0] + [s.horizon_index for s in states]
+        assert max(np.diff(ends)) == widest  # segments span that many cells
+        assert sol.grid == chain.grid
+        assert sol.values.tobytes() == chain.values.tobytes()
+        assert states == chain_states
+
 
 class TestHolder:
     def test_constant_is_zero(self, kt_stable_512):
