@@ -196,7 +196,9 @@ def _conv_prefix(kernel: np.ndarray, cells: np.ndarray, first: int = 0, stop=Non
     # vt[J*d + c, q] = cells[J*b + b-1-q, c]: block J newest-first in row block J
     vt = np.zeros((m * b, d))
     vt[:n] = cells.reshape(n, d)
-    vt = vt.reshape(m, b, d)[:, ::-1].transpose(0, 2, 1).reshape(m * d, b)
+    # one contiguous copy: a reversed-stride row slice is not BLAS-ready, and
+    # matmul would copy it again at every lag
+    vt = np.ascontiguousarray(vt.reshape(m, b, d)[:, ::-1].transpose(0, 2, 1)).reshape(m * d, b)
     # out[(I - lo_block)*d + c, p] is output I*b + p, column c
     out = np.zeros(((hi_block - lo_block + 1) * d, b))
     for k in range(max(0, lo_block - m + 1), hi_block + 1):
