@@ -40,12 +40,6 @@ class Grid:
     def __repr__(self):
         return f"Grid(horizon={self.horizon!r}, cells={self.cells})"
 
-    def prefix(self, cells: int) -> "Grid":
-        """Grid over the first ``cells`` cells (same step)."""
-        if not 1 <= cells <= self.cells:
-            raise ValueError(f"prefix cells must lie in 1..{self.cells}")
-        return Grid(cells * self.step, cells)
-
 
 class GridFunction:
     """Values of a function [0, T] -> R^d at the grid nodes.

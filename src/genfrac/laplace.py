@@ -82,7 +82,8 @@ def invert_grid(transform, ts) -> np.ndarray:
         vals = _transform_values(transform, _S[None, :] / block[:, None])
         # r / M = 2 / (5t); a row-wise sum keeps each time's summation
         # order fixed, where a BLAS product reorders it with the row count
-        out[lo : lo + _BLOCK] = (0.4 / block) * (vals * _WEIGHTS).real.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[lo : lo + _BLOCK] = (0.4 / block) * (vals * _WEIGHTS).real.sum(axis=1)
     if not np.all(np.isfinite(out)):
         raise InversionError("inversion produced non-finite values")
     return out

@@ -46,10 +46,10 @@ def series_domain_limit(alpha: float, negative: bool = False) -> float:
     return min(30.0, 709.0 ** alpha)
 
 
-def _check_args(alpha: float, z: float, lo_open: bool = False) -> None:
-    hi = 1.0 if not lo_open else 1.0 - 1e-15
+def _check_args(alpha: float, z: float, open_above: bool = False) -> None:
+    hi = 1.0 - 1e-15 if open_above else 1.0
     if not 0.0 < alpha <= hi:
-        raise ValueError(f"index must lie in (0,1{']' if not lo_open else ')'}], got {alpha}")
+        raise ValueError(f"index must lie in (0,1{')' if open_above else ']'}, got {alpha}")
     zmax = series_domain_limit(alpha, negative=z < 0)
     if not abs(z) <= zmax:
         side = "negative" if z < 0 else "positive"
@@ -125,7 +125,7 @@ def derivative_log_terms(beta: float, z: float) -> np.ndarray:
     """
     if z < 0:
         raise ValueError(f"derivative evaluation needs z >= 0, got {z}")
-    _check_args(beta, z, lo_open=True)
+    _check_args(beta, z, open_above=True)
     if z == 0.0:
         return np.array([-float(gammaln(beta + 1.0))])
     return _log_terms(

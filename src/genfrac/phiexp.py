@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinFunction
-from .errors import ConditioningWarning, TruncationError
+from .errors import ConditioningWarning, InversionError, TruncationError
 from .grids import Grid, GridFunction, _require_grid
 from .kernels import (INTERIOR_FRAC, KernelTable, _caputo_values, _frac_integral_values,
                       _resolvent_solve)
@@ -170,14 +170,18 @@ def _eigen_shift(phi: BernsteinFunction, lam: float) -> float:
 
 def phi_exp_laplace_curve(phi: BernsteinFunction, lam: float, ts) -> np.ndarray:
     """Laplace route at an array of positive times; for lam > 0 it inverts
-    z -> F(z + c), c just past the pole phi^{-1}(lam), and multiplies by exp(c t)."""
+    z -> F(z + c), c just past the pole phi^{-1}(lam), and multiplies by exp(c t).
+    A curve that overflows double precision raises InversionError."""
     _require_finite(lam)
     shift = _eigen_shift(phi, lam)
     transform = _eigen_transform(phi, lam, 1e-8 * max(1.0, abs(lam)))
-    if shift == 0.0:
-        return invert_grid(transform, ts)
     ts = np.asarray(ts, dtype=float)
-    return np.exp(shift * ts) * invert_grid(lambda z: transform(z + shift), ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(shift * ts) * invert_grid(lambda z: transform(z + shift), ts)
+    bad = ts[~np.isfinite(out)]
+    if bad.size:
+        raise InversionError(f"the eigenfunction overflows at t = {bad[0]:g} (lam={lam})")
+    return out
 
 
 def eigen_residual(kt: KernelTable, lam: float, e_values: GridFunction) -> float:

@@ -16,6 +16,8 @@ continuation from the empty history f(0) = f0; :func:`continue_solution`
 extends a solved prefix, and :func:`solve_to_horizon` chains segments to
 the end of the grid in one values array, so a segment costs its history
 window and its sweeps and never copies or re-checks the solved prefix.
+Every continuation ends where the horizon rule puts it, and a solution on
+the first m cells lives on the table's own nodes t_0..t_m.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfinementError, HorizonError, NonconvergenceError
-from .grids import GridFunction
+from .grids import Grid, GridFunction
 from .kernels import KernelTable, _conv_prefix, _resolvent_solve
 from .problems import IvpProblem
 
@@ -85,10 +87,10 @@ def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> int:
 def _segment_end(problem: IvpProblem, kt: KernelTable, f_end: np.ndarray, mp: int, R: float) -> int:
     """Last node of the segment that starts at node mp from the value f_end:
     as many cells as the horizon rule allows in the ball around f_end,
-    capped at the end of the grid."""
+    read over the cells left."""
     r_tilde = R + float(np.linalg.norm(f_end))
-    steps = _horizon_index(problem.spec.c_bound, r_tilde, kt.U_node, R)
-    return mp + min(steps, kt.grid.cells - mp)
+    left = kt.U_node[: kt.grid.cells - mp + 1]
+    return mp + _horizon_index(problem.spec.c_bound, r_tilde, left, R)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -260,7 +262,7 @@ def picard_solve(
             raise ValueError("initial iterate must start inside B_R(f0)")
         start = np.tile(init, (m + 1, 1))
     f, state = _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
-    return GridFunction(kt.grid.prefix(m), f), state
+    return GridFunction(Grid(kt.grid.nodes[m], m), f), state
 
 
 def continue_solution(
@@ -270,15 +272,14 @@ def continue_solution(
     R: float,
     tol: float = 1e-10,
     max_iter: int = 200,
-    extend_index: Optional[int] = None,
 ):
     """Extend a converged solution past its horizon.
 
     The memory term over the solved segment is re-evaluated once from the
     prior values and then held fixed while the new cells iterate; the
     restart ball is centered at the terminal value of the prior segment.
-    Without ``extend_index`` the new segment is as long as the horizon rule
-    of :func:`select_horizon` allows from that centre.
+    The new segment is as long as the horizon rule of :func:`select_horizon`
+    allows from that centre, up to the end of the grid.
     """
     if abs(prior.grid.step - kt.grid.step) > 1e-12 * kt.grid.step:
         raise ValueError("prior solution lives on a different step size")
@@ -289,15 +290,10 @@ def continue_solution(
     if prior.dim != problem.spec.dim:
         raise ValueError("dimension mismatch between prior and problem")
     f_end = prior.values[-1]
-    if extend_index is None:
-        m = _segment_end(problem, kt, f_end, mp, R)
-    else:
-        m = int(extend_index)
-        if not mp < m <= n:
-            raise ValueError(f"extend_index must lie in {mp + 1}..{n}")
+    m = _segment_end(problem, kt, f_end, mp, R)
     start = np.tile(f_end, (m - mp + 1, 1))
     f, state = _solve_segment(problem, kt, prior.values, m, R, tol, max_iter, start)
-    return GridFunction(kt.grid.prefix(m), np.concatenate((prior.values[:-1], f))), state
+    return GridFunction(Grid(kt.grid.nodes[m], m), np.concatenate((prior.values[:-1], f))), state
 
 
 def solve_to_horizon(
@@ -314,7 +310,7 @@ def solve_to_horizon(
     :func:`continue_solution`, with the same values and states.  Each
     segment writes its nodes into one values array and reads the solved
     prefix as a view of it, so a segment costs its history window and its
-    sweeps; the solution is checked and wrapped once, at the end.
+    sweeps; the solution is checked once and wrapped on the table's grid.
     """
     n = kt.grid.cells
     values = np.empty((n + 1, problem.spec.dim))
@@ -329,7 +325,7 @@ def solve_to_horizon(
         states.append(state)
         prior = values[: m + 1]
         mp = m
-    return GridFunction(kt.grid.prefix(n), values), states
+    return GridFunction(kt.grid, values), states
 
 
 def verify_holder(f: GridFunction, beta: float):

@@ -115,6 +115,16 @@ class TestEigen:
         ) == 1
         assert "numerical failure: the resolvent solution overflowed" in capsys.readouterr().err
 
+    def test_laplace_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # e(40; 5) ~ exp(1000); the Laplace column was written as inf with exit 0
+        out = tmp_path / "e"
+        assert run(
+            ["eigen", "--phi", "stable:0.5", "--lambda", "5", "--T", "40", "--N", "64",
+             "--method", "laplace", "--out", str(out)]
+        ) == 1
+        assert "numerical failure: the eigenfunction overflows" in capsys.readouterr().err
+        assert not (out / "eigen.csv").exists()
+
     def test_mc_non_finite_lambda_is_usage_error(self, tmp_path, capsys):
         assert run(
             ["eigen", "--phi", "stable:0.5", "--lambda", "nan", "--N", "64",
@@ -179,6 +189,13 @@ class TestSolve:
         # the first segment is not the worst one here, so this pins the maximum
         assert residuals[0] < max(residuals)
         assert report["residual_sup"] == max(residuals)
+
+    def test_nonconvergence_is_numerical_failure(self, problem_file, tmp_path, capsys):
+        assert run(
+            ["solve", "--phi", "stable:0.5", "--problem", str(problem_file), "--N", "128",
+             "--max-iter", "1", "--out", str(tmp_path / "s")]
+        ) == 1
+        assert "numerical failure: no convergence" in capsys.readouterr().err
 
     def test_missing_rhs_key_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "const.kv"

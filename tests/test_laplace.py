@@ -10,6 +10,7 @@ from genfrac import (
     AbscissaError,
     BernsteinFunction,
     Grid,
+    InversionError,
     abscissa_for_eigen,
     build_kernel_table,
     invert_grid,
@@ -160,3 +161,12 @@ class TestConfig:
     def test_time_must_be_positive(self):
         with pytest.raises(ValueError):
             invert_grid(lambda z: 1.0 / z, [1.0, 0.0])
+
+    def test_non_finite_transform_is_refused(self):
+        with pytest.raises(InversionError, match="non-finite transform values"):
+            invert_grid(lambda z: np.full_like(z, np.nan), [1.0])
+
+    def test_overflowing_sum_is_refused(self):
+        # finite transform values whose weighted sum leaves double precision
+        with pytest.raises(InversionError, match="inversion produced non-finite values"):
+            invert_grid(lambda z: np.full_like(z, 1e308), [1.0])

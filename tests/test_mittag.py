@@ -93,6 +93,16 @@ def test_derivative_matches_closed_form():
         assert mittag_leffler_derivative(0.5, z) == pytest.approx(exact, rel=1e-12)
 
 
+def test_index_range_messages():
+    # the value allows index 1, the derivative's series does not
+    with pytest.raises(ValueError) as value_info:
+        mittag_leffler(1.5, 0.1)
+    assert str(value_info.value) == "index must lie in (0,1], got 1.5"
+    with pytest.raises(ValueError) as derivative_info:
+        mittag_leffler_derivative(1.0, 0.5)
+    assert str(derivative_info.value) == "index must lie in (0,1), got 1.0"
+
+
 def test_derivative_refuses_where_not_finite():
     # 26.6 lies inside series_domain_limit(0.5) = 26.63, but E'_1/2(26.6) ~ exp(712)
     assert math.isfinite(mittag_leffler_derivative(0.5, 26.5))

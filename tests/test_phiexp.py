@@ -8,6 +8,7 @@ from scipy.special import erfcx, gammaln
 from genfrac import (
     Grid,
     GridFunction,
+    InversionError,
     NonconvergenceError,
     NumericalError,
     TruncationError,
@@ -241,6 +242,12 @@ class TestLaplaceRoute:
     def test_stable_negative_eigenvalue(self, stable_half):
         got = phi_exp_laplace_curve(stable_half, -1.0, [1.0])
         assert got[0] == pytest.approx(ML_ORACLE[(0.5, -1.0)], rel=1e-4)
+
+    def test_overflow_is_refused(self, stable_half):
+        # e(10; 5) ~ 7.5e108 is finite; e(40; 5) ~ exp(1000) is not
+        assert np.isfinite(phi_exp_laplace_curve(stable_half, 5.0, [1.0, 10.0])).all()
+        with pytest.raises(InversionError, match="overflows at t = 40"):
+            phi_exp_laplace_curve(stable_half, 5.0, [1.0, 10.0, 40.0, 1000.0])
 
     def test_tempered_cross_route(self, kt_tempered_512, tempered_half):
         series = phi_exp_grid_curve(kt_tempered_512, -1.0)[512]

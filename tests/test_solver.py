@@ -143,6 +143,14 @@ class TestPicard:
         for ratio in state.contraction_ratio_estimates[1:]:
             assert ratio < 0.5
 
+    def test_nonconvergence_is_a_numerical_error(self, kt_stable_512):
+        # one sweep cannot meet tol on a nonlinear right-hand side
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        with pytest.raises(NonconvergenceError) as info:
+            picard_solve(problem, kt_stable_512, R=0.5, tol=1e-12, max_iter=1)
+        assert isinstance(info.value, NumericalError)
+        assert len(info.value.history) == 1
+
     def test_confinement_error_on_forced_horizon(self, kt_stable_512):
         # forcing the full horizon with a tiny ball must abort, not project
         problem = make_problem(rhs_constant([5.0]), [0.0], 1.0)
@@ -175,12 +183,12 @@ class TestContinuation:
         single, _ = picard_solve(
             problem, kt_stable_512, R=2.0, tol=1e-12, horizon_index=512
         )
-        first, _ = picard_solve(
+        both, _ = picard_solve(
             problem, kt_stable_512, R=2.0, tol=1e-12, horizon_index=256
         )
-        both, _ = continue_solution(
-            problem, kt_stable_512, first, R=2.0, tol=1e-12, extend_index=512
-        )
+        while both.grid.cells < 512:
+            both, _ = continue_solution(problem, kt_stable_512, both, R=2.0, tol=1e-12)
+        assert both.grid == single.grid
         assert np.abs(both.values - single.values).max() <= 5e-3
 
     def test_larger_ball_reaches_oracle(self, kt_stable_4096):
@@ -208,13 +216,6 @@ class TestContinuation:
             t = kt_stable_4096.grid.nodes[idx]
             ref = mittag_leffler(0.5, -np.sqrt(t))
             assert sol.scalar()[idx] == pytest.approx(ref, abs=5e-3)
-
-    @pytest.mark.parametrize("extend_index", [1000, 200, 100, -1])
-    def test_extend_index_outside_grid_rejected(self, kt_stable_512, extend_index):
-        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
-        sol, _ = picard_solve(problem, kt_stable_512, R=0.5, horizon_index=200)
-        with pytest.raises(ValueError, match="extend_index"):
-            continue_solution(problem, kt_stable_512, sol, R=0.5, extend_index=extend_index)
 
     def test_residual_is_fixed_point_residual(self, kt_stable_512):
         # recompute max |A f - f| on each continuation segment, with the
@@ -260,6 +261,27 @@ class TestContinuation:
         b, states_b = solve_to_horizon(problem, kt_stable_512, R=2.0, tol=tol)
         assert len(states_a) != len(states_b)  # genuinely different schedules
         assert np.abs(a.values - b.values).max() <= 20 * tol
+
+    def test_march_ends_on_the_table_grid(self, stable_half, tmp_path):
+        # N * (T / N) misses T = 3.3 by one ulp; the solution keeps the
+        # table's grid, so the memory integral accepts it and the CSV ends at T
+        from genfrac import Grid, build_kernel_table, frac_integral
+        from genfrac.cli import main
+
+        kt = build_kernel_table(stable_half, Grid(3.3, 3000))
+        problem = make_problem(rhs_linear([[-0.2]]), [1.0], 3.3)
+        sol, _ = solve_to_horizon(problem, kt, 1.0)
+        assert sol.grid == kt.grid
+        assert frac_integral(kt, sol).grid == kt.grid
+        path = tmp_path / "decay.kv"
+        path.write_text("d = 1\nf0 = 1.0\nT = 3.3\nR = 1.0\nrhs = linear\nmatrix = -0.2\n")
+        out = tmp_path / "s"
+        assert main(
+            ["solve", "--phi", "stable:0.5", "--problem", str(path), "--N", "3000",
+             "--out", str(out)]
+        ) == 0
+        last = (out / "solve.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 3.3
 
     @pytest.mark.parametrize(
         "spec, f0, radius, widest",
@@ -397,11 +419,10 @@ class TestSegmentContract:
         tol=st.one_of(st.floats(1e-14, 1e-2), st.just(0.0), st.just(-1e-8)),
         horizon=st.one_of(st.none(), st.integers(-4, 60)),
         prior_cells=st.integers(1, 60),
-        extend=st.one_of(st.none(), st.integers(-4, 120)),
     )
     @settings(max_examples=150, deadline=None)
     def test_returns_or_raises_documented_errors(
-        self, stable_half, cells, f0, radius, tol, horizon, prior_cells, extend
+        self, stable_half, cells, f0, radius, tol, horizon, prior_cells
     ):
         from genfrac import Grid, build_kernel_table
 
@@ -417,4 +438,4 @@ class TestSegmentContract:
 
         check(lambda: picard_solve(problem, kt, radius, tol=tol, horizon_index=horizon))
         prior = GridFunction.constant(Grid(prior_cells * kt.grid.step, prior_cells), f0)
-        check(lambda: continue_solution(problem, kt, prior, radius, tol=tol, extend_index=extend))
+        check(lambda: continue_solution(problem, kt, prior, radius, tol=tol))
