@@ -16,6 +16,7 @@ __all__ = [
     "NonconvergenceError",
     "ConfinementError",
     "PathExhaustedError",
+    "HolderError",
     "ConditioningWarning",
 ]
 
@@ -62,6 +63,10 @@ class ConfinementError(NumericalError):
 
 class PathExhaustedError(NumericalError):
     """A sampled path hit the extension cap before first passage."""
+
+
+class HolderError(NumericalError):
+    """A Holder ratio of a grid function is not finite."""
 
 
 class ConditioningWarning(UserWarning):

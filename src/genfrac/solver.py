@@ -27,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfinementError, HorizonError, NonconvergenceError
+from .errors import ConfinementError, HolderError, HorizonError, NonconvergenceError
 from .grids import Grid, GridFunction
 from .kernels import KernelTable, _conv_prefix, _resolvent_solve
 from .problems import IvpProblem
@@ -94,9 +94,9 @@ def _segment_end(problem: IvpProblem, kt: KernelTable, f_end: np.ndarray, mp: in
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a real array: the arithmetic of
-    ``np.linalg.norm(x, axis=1)`` without its per-call dispatch."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """Euclidean norm along the last axis of a real array: the arithmetic
+    of ``np.linalg.norm(x, axis=-1)`` without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
@@ -328,27 +328,89 @@ def solve_to_horizon(
     return GridFunction(kt.grid, values), states
 
 
+_HOLDER_BLOCK = 64  # nodes per block and lags per group of the Holder scan
+_HOLDER_SLAB = 1 << 15  # floats in one slab of node differences
+
+
 def verify_holder(f: GridFunction, beta: float):
     """Largest ratio |f(t_i) - f(t_j)| / |t_i - t_j|^beta over node pairs,
     returned with the pair (i, j) that attains it.
 
     Stable under refinement for genuinely beta-Holder functions; a growing
-    estimate under grid refinement indicates lower regularity.
+    estimate under grid refinement indicates lower regularity.  Ties go to
+    the smallest lag j - i, then to the smallest i.  Raises HolderError
+    when the ratio is not finite (a difference overflows when squared).
+
+    The scan skips the pairs that cannot win.  The nodes fall into blocks
+    of 64 and the lags into groups [64q, 64q + 64), so for a node in block P
+    and a lag of group q the partner node lies in block P + q or P + q + 1.
+    The norm of the componentwise span between those blocks' min and max,
+    divided by the smallest (lag h)^beta of the group, bounds every ratio
+    the block can give there.  Rounding is monotone, so the bound holds
+    for the computed ratios, and a block whose bound is strictly below the
+    running best is skipped for the whole group: it can neither raise the
+    best nor hold the first argmax of a lag that does.  The answer is the
+    full scan's, bit for bit.  The rows left in a group are read as strided
+    slabs of differences, a batch of lags each, with at most 2^15 floats or
+    one lag's differences, whichever is more, so the memory stays that of
+    the one-lag-at-a-time scan.
     """
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0,1)")
-    vals = f.values
-    n = f.grid.cells
+    vals = np.ascontiguousarray(f.values)  # bounds and differences sum alike
+    nodes, d = vals.shape
     h = f.grid.step
+    b = _HOLDER_BLOCK
+    # the ratio's own divisors, lag = 1..N: pow is not assumed monotone
+    pows = np.array([(lag * h) ** beta for lag in range(1, nodes)])
+    starts = np.arange(0, nodes, b)
+    lo_b, hi_b = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
+    nb = len(starts)
+
+    def pair_norms(k):
+        """Bound on |v_j - v_i| for i in block P and j in block P + k."""
+        up = np.abs(hi_b[k:] - lo_b[: nb - k])
+        down = np.abs(hi_b[: nb - k] - lo_b[k:])
+        return _row_norms(np.maximum(up, down))
+
     best = 0.0
     best_pair = (0, 0)
-    for lag in range(1, n + 1):
-        diff = _row_norms(vals[lag:] - vals[:-lag])
-        i = int(np.argmax(diff))
-        ratio = float(diff[i]) / (lag * h) ** beta
-        if ratio > best:
-            best = ratio
-            best_pair = (i, i + lag)
+    with np.errstate(over="ignore"):
+        near = pair_norms(0)
+        for q in range(nb):
+            first, last = max(q * b, 1), min(q * b + b, nodes) - 1  # the group's lags
+            far = pair_norms(q + 1)  # the last block has no block P + q + 1
+            bound = np.maximum(near, np.append(far, 0.0))
+            near = far
+            live = np.flatnonzero(bound / pows[first - 1 : last].min() >= best)
+            if not len(live):
+                continue
+            lo, hi = int(live[0]) * b, min(int(live[-1]) * b + b, nodes)
+            # slabs (lags a..z-1, rows lo..top-1): batches of the lags whose
+            # rows [lo, hi) all have partners, then one lag at a time
+            cut = min(last, nodes - hi)
+            batch = max(1, _HOLDER_SLAB // max(1, (hi - lo) * d))  # d = 0 reads no floats
+            spans = [(a, min(a + batch, cut + 1), hi) for a in range(first, cut + 1, batch)]
+            spans += [(lag, lag + 1, nodes - lag) for lag in range(max(first, cut + 1), last + 1)]
+            for a, z, top in spans:
+                if top <= lo:
+                    continue
+                slab = np.lib.stride_tricks.as_strided(
+                    vals[lo + a :], shape=(z - a, top - lo, d),
+                    strides=(vals.strides[0],) + vals.strides, writeable=False,
+                )
+                diff = _row_norms(slab - vals[lo:top])
+                rows = diff.argmax(axis=1)
+                ratios = diff[np.arange(z - a), rows] / pows[a - 1 : z - 1]
+                k = int(ratios.argmax())
+                if ratios[k] > best:
+                    best = float(ratios[k])
+                    best_pair = (lo + int(rows[k]), lo + int(rows[k]) + a + k)
+    if not np.isfinite(best):
+        raise HolderError(
+            f"Holder ratio overflows at nodes {best_pair}: a difference exceeds the "
+            "float range when squared"
+        )
     return best, best_pair
 
 

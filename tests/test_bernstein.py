@@ -48,6 +48,27 @@ class TestLevyTailIntegral:
         numeric = invert_grid(lambda z: phi.phi(z) / z ** 2, ts)
         assert phi.levy_tail_integral(ts) == pytest.approx(numeric, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("theta", [0.1, 1.0, 2.0, 9e4])
+    def test_tempered_against_mpmath(self, alpha, theta):
+        # the float evaluation of the closed form against 40 digits; the
+        # upper incomplete gamma comes partly from 1 - P and partly from Q
+        mpmath = pytest.importorskip("mpmath")
+        ts = np.geomspace(1e-4, 50.0, 60)
+        got = BernsteinFunction.tempered(alpha, theta).levy_tail_integral(ts)
+        with mpmath.workdps(40):
+            a, th = mpmath.mpf(alpha), mpmath.mpf(theta)
+
+            def exact(t):
+                x = th * t
+                lower1 = mpmath.gammainc(1 - a, 0, x)
+                upper1 = mpmath.gammainc(1 - a, x)
+                lower2 = mpmath.gammainc(2 - a, 0, x)
+                return th ** a / mpmath.gamma(1 - a) * ((lower1 - lower2) / th - t * upper1)
+
+            want = np.array([float(exact(mpmath.mpf(float(t)))) for t in ts])
+        assert got == pytest.approx(want, rel=2e-14, abs=0)
+
 
 class TestValidate:
     def test_stable_clean(self):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from genfrac import (
     ConfinementError,
+    Grid,
     GridFunction,
+    HolderError,
     HorizonError,
     NonconvergenceError,
     NumericalError,
@@ -309,11 +314,103 @@ class TestContinuation:
         assert states == chain_states
 
 
+def holder_by_lags(f, beta):
+    """The full O(N^2) scan, one lag at a time: the reference that the
+    pruned scan of verify_holder must match bit for bit."""
+    vals, h = f.values, f.grid.step
+    best, best_pair = 0.0, (0, 0)
+    for lag in range(1, f.grid.cells + 1):
+        diff = np.linalg.norm(vals[lag:] - vals[:-lag], axis=1)
+        i = int(np.argmax(diff))
+        ratio = float(diff[i]) / (lag * h) ** beta
+        if ratio > best:
+            best, best_pair = ratio, (i, i + lag)
+    return best, best_pair
+
+
+def random_walk(seed, cells, d, scale=1.0, decimals=None):
+    steps = np.random.default_rng(seed).standard_normal((cells + 1, d))
+    walk = np.cumsum(steps, axis=0)
+    if decimals is not None:  # rounding makes ties between pairs and lags
+        walk = np.round(walk, decimals)
+    return GridFunction(Grid(0.7, cells), scale * walk)
+
+
 class TestHolder:
     def test_constant_is_zero(self, kt_stable_512):
-        f = GridFunction.constant(kt_stable_512.grid, 4.0)
-        l_est, _ = verify_holder(f, 0.5)
-        assert l_est == 0.0
+        for value in (4.0, [4.0, -1.0], []):
+            f = GridFunction.constant(kt_stable_512.grid, value)
+            assert verify_holder(f, 0.5) == (0.0, (0, 0))
+
+    @pytest.mark.parametrize(
+        "seed, cells, d, scale, decimals",
+        [
+            (0, 1, 1, 1.0, None),
+            (1, 2, 3, 1.0, None),
+            (2, 63, 2, 1.0, None),
+            (3, 64, 1, 1.0, None),
+            (4, 200, 3, 1.0, None),
+            (5, 1000, 1, 1.0, None),
+            (6, 1500, 2, 1.0, None),
+            (7, 700, 1, 1.0, 0),
+            (8, 900, 3, 1.0, 0),
+            (9, 1300, 1, 1.0, 1),
+            (10, 800, 2, 1e-160, None),
+            (11, 640, 1, 1e-160, None),
+        ],
+    )
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.93])
+    def test_matches_the_full_scan(self, seed, cells, d, scale, decimals, beta):
+        f = random_walk(seed, cells, d, scale, decimals)
+        got = verify_holder(f, beta)
+        assert got == holder_by_lags(f, beta)
+        assert type(got[0]) is float
+
+    def test_matches_the_full_scan_on_steps(self):
+        # sparse jumps at a small beta: the winning pairs lie far apart, where
+        # most blocks are skipped and partners straddle two blocks
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            cells = int(rng.integers(100, 700))
+            jumps = rng.standard_normal(cells + 1) * (rng.random(cells + 1) < 0.02)
+            f = GridFunction(Grid(1.0, cells), np.cumsum(jumps))
+            for beta in (0.1, 0.5):
+                assert verify_holder(f, beta) == holder_by_lags(f, beta), (seed, beta)
+
+    def test_solution_matches_the_full_scan(self, stable_half):
+        # the singular start wins: the pair starts at node 0, and most blocks are skipped
+        from genfrac import build_kernel_table
+
+        kt = build_kernel_table(stable_half, Grid(1.0, 2047))
+        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+        sol, _ = solve_to_horizon(problem, kt, 0.05, tol=1e-10)
+        got = verify_holder(sol, 0.5)
+        assert got == holder_by_lags(sol, 0.5)
+        assert got[1][0] == 0
+
+    def test_memory_stays_that_of_one_lag(self):
+        # the full scan peaks at its first lag; slabs add at most 1 MB to that
+        f = random_walk(12, 16384, 3)
+        vals = f.values
+        tracemalloc.start()
+        try:
+            np.argmax(np.linalg.norm(vals[1:] - vals[:-1], axis=1))
+            one_lag = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            verify_holder(f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= one_lag + 2**20
+
+    def test_overflow_is_a_numerical_error(self):
+        # differences of 1e160 overflow when squared
+        f = GridFunction(Grid(1.0, 100), np.linspace(0.0, 1e162, 101))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HolderError, match="overflows") as info:
+                verify_holder(f, 0.5)
+        assert isinstance(info.value, NumericalError)
 
     def test_distribution_constant(self, stable_half):
         from genfrac import Grid, build_kernel_table
