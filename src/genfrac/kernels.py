@@ -28,7 +28,10 @@ direct summation.  Nonnegative values that span many orders of magnitude
 (the convolution powers) therefore keep their componentwise relative
 accuracy, which an FFT, whose error is relative to the largest output,
 loses.  The resolvent solve ``_resolvent_solve`` marches forward in
-blocks, each block's history one windowed sum.
+blocks, each block's history one windowed sum.  ``_lower_toeplitz`` is
+the same sum over one short window as a dense lower-triangular matrix,
+for the resolvent's dense block solves and the sweeps of a short Picard
+segment.
 """
 
 from __future__ import annotations
@@ -220,6 +223,19 @@ def _frac_integral_values(u_cell: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lower_toeplitz(kernel: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix T[p, q] = kernel[p - q] for q <= p
+    and 0 above the diagonal, square of the kernel's length: T @ cells is the
+    history sum of :func:`_conv_prefix` over as many cells."""
+    b = len(kernel)
+    padded = np.zeros(2 * b - 1)
+    padded[b - 1 :] = kernel
+    # T[p, q] = padded[b - 1 + p - q]: rows step forward, columns backward
+    step = padded.strides[0]
+    window = np.lib.stride_tricks.as_strided(padded[b - 1 :], shape=(b, b), strides=(step, -step))
+    return window.copy()
+
+
 def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
     """Grid solution of x = b + g * I[x] under the product-trapezoid rule.
 
@@ -258,10 +274,10 @@ def _resolvent_solve(u_cell: np.ndarray, b: np.ndarray, g) -> np.ndarray:
     # a dense solve costs k^3 per block: half a history block is cheaper per
     # node than a whole one; a product with the inverse costs (k d)^2
     k = min(_BLOCK // 2 if scalar else max(1, _BLOCK // d), n)
-    lag = np.subtract.outer(np.arange(k), np.arange(k))  # p - q
     if scalar:
-        T = np.where(lag >= 0, c[np.abs(lag)], 0.0)
+        T = _lower_toeplitz(c[:k])
     else:
+        lag = np.subtract.outer(np.arange(k), np.arange(k))  # p - q
         # X_r, the lag-r block of the inverse, solves (I - c_0 g) X_r = g sum_{q<r} c_{r-q} X_q
         X = np.empty((k, d, d))
         X[0] = np.linalg.inv(np.eye(d) - c[0] * g)

@@ -78,6 +78,8 @@ class IvpProblem:
 
 def _affine(M: np.ndarray, xi: np.ndarray, label: str) -> RhsSpec:
     """F(y) = M y + xi, with |F| <= |xi| + |M|_2 R and Lipschitz |M|_2 on B_R."""
+    if not (np.isfinite(M).all() and np.isfinite(xi).all()):
+        raise ValueError(f"{label} rhs needs finite coefficients")
     norm = float(np.linalg.norm(M, 2))
     mag = float(np.linalg.norm(xi))
     return RhsSpec(
@@ -115,6 +117,8 @@ def rhs_affine(matrix, xi) -> RhsSpec:
 
 def rhs_logistic(rate: float) -> RhsSpec:
     r = float(rate)
+    if not np.isfinite(r):
+        raise ValueError(f"logistic rate must be finite, got {r}")
     return RhsSpec(
         fn=lambda ts, ys: r * ys * (1.0 - ys),
         dim=1,
@@ -127,6 +131,8 @@ def rhs_logistic(rate: float) -> RhsSpec:
 def rhs_power(coef: float, exponent: float) -> RhsSpec:
     """F(y) = coef * sign(y) |y|^p (odd extension keeps it ball-Lipschitz)."""
     c, p = float(coef), float(exponent)
+    if not (np.isfinite(c) and np.isfinite(p)):
+        raise ValueError(f"power rhs needs a finite coef and exponent, got {c} and {p}")
     if p < 1:
         raise ValueError("exponent must be >= 1 for local Lipschitz bounds")
     return RhsSpec(

@@ -16,8 +16,11 @@ continuation from the empty history f(0) = f0; :func:`continue_solution`
 extends a solved prefix, and :func:`solve_to_horizon` chains segments to
 the end of the grid in one values array, so a segment costs its history
 window and its sweeps and never copies or re-checks the solved prefix.
-Every continuation ends where the horizon rule puts it, and a solution on
-the first m cells lives on the table's own nodes t_0..t_m.
+Every continuation ends where the horizon rule puts it, found by bisection
+on U, and a solution on the first m cells lives on the table's own nodes
+t_0..t_m.  A sweep of a segment of at most ``_BLOCK`` cells sums its own
+history as one product with the lower-triangular Toeplitz block of the
+kernel, built once per march, so short segments cost their arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import ConfinementError, HolderError, HorizonError, NonconvergenceError
 from .grids import Grid, GridFunction
-from .kernels import KernelTable, _conv_prefix, _resolvent_solve
+from .kernels import _BLOCK, KernelTable, _conv_prefix, _lower_toeplitz, _resolvent_solve
 from .problems import IvpProblem
 
 __all__ = [
@@ -61,34 +64,39 @@ class PicardState:
 def _horizon_index(bound_c, radius: float, U: np.ndarray, R: float) -> int:
     """The largest node index m with c * U[m] < R, c = bound_c(radius).
 
-    U is nondecreasing, so the admissible nodes form a prefix and every
-    node up to m satisfies the inequality as well.
+    U is nondecreasing and rounded multiplication is monotone, so the
+    admissible nodes form a prefix: every node up to m satisfies the
+    inequality as well, and m is found by bisection on the exact test.
     """
     if not 0 < R < np.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
     c = float(bound_c(radius))
-    if c < 0:
-        raise ValueError("bound_c must be nonnegative")
-    ok = c * U < R
-    m = len(U) - 1 if ok.all() else int(np.argmin(ok)) - 1
-    if m < 1:
+    if not c >= 0:
+        raise ValueError(f"bound_c must be nonnegative, got {c} at radius {radius:g}")
+    lo, hi = -1, len(U)  # the test holds at lo and fails at hi, or they lie off the ends
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if c * U.item(mid) < R:
+            lo = mid
+        else:
+            hi = mid
+    if lo < 1:
         raise HorizonError(
             f"no grid node satisfies bound_c*U < R (c={c:g}, R={R:g}); "
             "refine the grid or enlarge R"
         )
-    return m
+    return lo
 
 
 def select_horizon(problem: IvpProblem, kt: KernelTable, R: float) -> int:
     """Index m of the largest node T' = t_m <= T with c_bound(R + |f0|) * U(T') < R."""
-    return _segment_end(problem, kt, problem.f0, 0, R)
+    return _segment_end(problem, kt, 0, R, R + float(np.linalg.norm(problem.f0)))
 
 
-def _segment_end(problem: IvpProblem, kt: KernelTable, f_end: np.ndarray, mp: int, R: float) -> int:
-    """Last node of the segment that starts at node mp from the value f_end:
-    as many cells as the horizon rule allows in the ball around f_end,
-    read over the cells left."""
-    r_tilde = R + float(np.linalg.norm(f_end))
+def _segment_end(problem: IvpProblem, kt: KernelTable, mp: int, R: float, r_tilde: float) -> int:
+    """Last node of the segment that starts at node mp in the ball of radius R
+    around a value of norm r_tilde - R: as many cells as the horizon rule
+    allows for the radius r_tilde, read over the cells left."""
     left = kt.U_node[: kt.grid.cells - mp + 1]
     return mp + _horizon_index(problem.spec.c_bound, r_tilde, left, R)
 
@@ -116,7 +124,7 @@ def _bielecki_constants(kt: KernelTable, L: float, t_prime: float):
 def pick_bielecki_tau(kt: KernelTable, L: float, t_prime: float) -> float:
     """Smallest weight tau making the contraction estimate
     d * (p' tau)^(-1/p') of :func:`_bielecki_constants` equal to 1/2."""
-    if L < 0 or not t_prime > 0:
+    if not (L >= 0 and t_prime > 0):
         raise ValueError("need L >= 0 and t_prime > 0")
     if L == 0.0:
         return 0.0
@@ -135,20 +143,29 @@ def _solve_segment(
     problem: IvpProblem,
     kt: KernelTable,
     prior: np.ndarray,
-    m: int,
     R: float,
     tol: float,
     max_iter: int,
-    start: np.ndarray,
+    T: np.ndarray,
+    m: Optional[int] = None,
+    start: Optional[np.ndarray] = None,
 ):
     """Picard sweeps on cells mp+1..m against a frozen history.
 
     ``prior`` holds the solved values at nodes 0..mp; the first segment is
-    the case mp = 0 with ``prior = [f0]``.  The memory integral over the
-    solved cells is evaluated once and held fixed, and the iterate, started
-    from ``start`` (values at nodes mp..m), stays in the ball of radius R
-    around f(t_mp).  Returns (values at nodes mp..m, state); the value at
-    node mp is ``prior[-1]``.
+    the case mp = 0 with ``prior = [f0]``.  The segment ends at node m, by
+    default where the horizon rule puts it for the ball of radius R around
+    f(t_mp).  The memory integral over the solved cells is evaluated once
+    and held fixed, and the iterate, started from the constant value
+    ``start`` (by default f(t_mp)), stays in that ball.
+
+    ``T`` is the lower-triangular Toeplitz matrix of the table's first
+    ``_BLOCK`` cell masses, built once by the caller: a segment of k cells,
+    k at most that many, sums its own history as the product T[:k, :k] @ g,
+    which holds the products of :func:`_conv_prefix` and exact zeros, summed
+    in another order.  A longer segment calls :func:`_conv_prefix`.
+    Returns (values at nodes mp..m, state); the value at node mp is
+    ``prior[-1]``.
     """
     if not 0 < R < np.inf:
         raise ValueError(f"R must be positive and finite, got {R}")
@@ -162,12 +179,16 @@ def _solve_segment(
             f"grid horizon {kt.grid.horizon:g}"
         )
     mp = len(prior) - 1
-    k = m - mp
     h = kt.grid.step
     nodes = kt.grid.nodes
     centre = prior[-1]
     r_tilde = R + float(np.linalg.norm(centre))
+    if m is None:
+        m = _segment_end(problem, kt, mp, R, r_tilde)
+    k = m - mp
     L = float(problem.spec.lip_l(r_tilde))
+    if not L >= 0:
+        raise ValueError(f"lip_l must be nonnegative, got {L} at radius {r_tilde:g}")
 
     base = problem.f0
     if mp > 0:
@@ -175,12 +196,20 @@ def _solve_segment(
         base = problem.f0 + _conv_prefix(kt.u_cell, g, mp, m)
 
     ts = nodes[mp:m] + 0.5 * h
-    W = kt.u_cell[:k]
+    local = T[:k, :k] if k <= len(T) else None
+    mid = np.empty((k, len(centre)))
 
     def sweep(f):
+        np.add(f[:-1], f[1:], out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        g = problem.eval_rhs(ts, mid)
         out = np.empty_like(f)
         out[0] = centre
-        out[1:] = base + _conv_prefix(W, problem.eval_rhs(ts, 0.5 * (f[:-1] + f[1:])))
+        if local is None:
+            out[1:] = base + _conv_prefix(kt.u_cell[:k], g)
+        else:
+            np.matmul(local, g, out=out[1:])
+            out[1:] += base
         return out
 
     tau = pick_bielecki_tau(kt, L, float(nodes[m] - nodes[mp]))
@@ -188,16 +217,20 @@ def _solve_segment(
     # sup-norm gain of one sweep; the exit threshold below guarantees the
     # returned iterate's fixed-point residual stays under tol in sup norm
     sup_goal = tol / (1.0 + L * float(kt.U_node[k]))
-    f = start
+    reach = R * (1 + 1e-9)
+    f = np.empty((k + 1, len(centre)))
+    f[:] = centre if start is None else start
     norms: List[float] = []
     ratios: List[float] = []
     for it in range(1, max_iter + 1):
         new = sweep(f)
-        drift = _row_norms(new - centre)
-        if float(drift.max()) > R * (1 + 1e-9):
+        # the largest row norm, as one sqrt of the largest squared norm
+        away = new - centre
+        drift = float(np.sqrt(np.add.reduce(away * away, axis=-1).max()))
+        if drift > reach:
             raise ConfinementError(
                 f"iterate left the ball of radius R={R:g} around f(t_{mp}) at "
-                f"iteration {it} (max drift {drift.max():.6g}); reselect R or T'"
+                f"iteration {it} (max drift {drift:.6g}); reselect R or T'"
             )
         step = _row_norms(new - f)
         dn = float((step * weights).max())
@@ -246,22 +279,21 @@ def picard_solve(
     integration of the memory kernel.  ``initial``, a d-vector in B_R(f0),
     replaces f0 as the constant starting iterate.
     """
-    if horizon_index is None:
-        m = select_horizon(problem, kt, R)
-    else:
+    m = None
+    if horizon_index is not None:
         m = int(horizon_index)
         if not 1 <= m <= kt.grid.cells:
             raise ValueError(f"horizon_index must lie in 1..{kt.grid.cells}")
-    if initial is None:
-        start = np.tile(problem.f0, (m + 1, 1))
-    else:
-        init = np.atleast_1d(np.asarray(initial, dtype=float))
-        if init.shape != (problem.spec.dim,):
+    start = None
+    if initial is not None:
+        start = np.atleast_1d(np.asarray(initial, dtype=float))
+        if start.shape != (problem.spec.dim,):
             raise ValueError(f"initial must be a vector of length {problem.spec.dim}")
-        if np.linalg.norm(init - problem.f0) > R * (1 + 1e-12):
+        if np.linalg.norm(start - problem.f0) > R * (1 + 1e-12):
             raise ValueError("initial iterate must start inside B_R(f0)")
-        start = np.tile(init, (m + 1, 1))
-    f, state = _solve_segment(problem, kt, problem.f0[None, :], m, R, tol, max_iter, start)
+    T = _lower_toeplitz(kt.u_cell[:_BLOCK])
+    f, state = _solve_segment(problem, kt, problem.f0[None, :], R, tol, max_iter, T, m, start)
+    m = state.horizon_index
     return GridFunction(Grid(kt.grid.nodes[m], m), f), state
 
 
@@ -283,16 +315,13 @@ def continue_solution(
     """
     if abs(prior.grid.step - kt.grid.step) > 1e-12 * kt.grid.step:
         raise ValueError("prior solution lives on a different step size")
-    mp = prior.grid.cells
-    n = kt.grid.cells
-    if mp >= n:
+    if prior.grid.cells >= kt.grid.cells:
         raise ValueError("prior already covers the full grid")
     if prior.dim != problem.spec.dim:
         raise ValueError("dimension mismatch between prior and problem")
-    f_end = prior.values[-1]
-    m = _segment_end(problem, kt, f_end, mp, R)
-    start = np.tile(f_end, (m - mp + 1, 1))
-    f, state = _solve_segment(problem, kt, prior.values, m, R, tol, max_iter, start)
+    T = _lower_toeplitz(kt.u_cell[:_BLOCK])
+    f, state = _solve_segment(problem, kt, prior.values, R, tol, max_iter, T)
+    m = state.horizon_index
     return GridFunction(Grid(kt.grid.nodes[m], m), np.concatenate((prior.values[:-1], f))), state
 
 
@@ -310,17 +339,18 @@ def solve_to_horizon(
     :func:`continue_solution`, with the same values and states.  Each
     segment writes its nodes into one values array and reads the solved
     prefix as a view of it, so a segment costs its history window and its
-    sweeps; the solution is checked once and wrapped on the table's grid.
+    sweeps; the in-segment history operator is built once for the march,
+    and the solution is checked once and wrapped on the table's grid.
     """
     n = kt.grid.cells
+    T = _lower_toeplitz(kt.u_cell[:_BLOCK])
     values = np.empty((n + 1, problem.spec.dim))
     prior = problem.f0[None, :]
     states = []
     mp = 0
     while mp < n:
-        m = _segment_end(problem, kt, prior[-1], mp, R)
-        start = np.tile(prior[-1], (m - mp + 1, 1))
-        f, state = _solve_segment(problem, kt, prior, m, R, tol, max_iter, start)
+        f, state = _solve_segment(problem, kt, prior, R, tol, max_iter, T)
+        m = state.horizon_index
         values[mp : m + 1] = f
         states.append(state)
         prior = values[: m + 1]

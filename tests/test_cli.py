@@ -213,8 +213,12 @@ class TestSolve:
             "f0 = 0.0\nrhs = table\ntable_t = 1,0.5,0\ntable_v = 0,1,5\n",
             "f0 = 0.0\nrhs = table\ntable_t = 0,0.5,1\ntable_v = 0,nan,0\n",
             "f0 = nan\nrhs = logistic\nrate = 1.0\n",
+            "f0 = 0.4\nrhs = logistic\nrate = nan\n",
+            "f0 = 0.4\nrhs = power\ncoef = 1.0\nexponent = inf\n",
+            "f0 = 0.4\nrhs = linear\nmatrix = inf\n",
         ],
-        ids=["decreasing_table_t", "nan_table_v", "nan_f0"],
+        ids=["decreasing_table_t", "nan_table_v", "nan_f0", "nan_rate", "inf_exponent",
+             "inf_matrix"],
     )
     def test_bad_problem_values_are_usage_errors(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.kv"
@@ -578,17 +582,23 @@ class TestReproducibility:
 
     def test_blas_threads_keep_csv_bytes(self, tmp_path):
         # the history sums and the block solves run through BLAS and LAPACK;
-        # their thread count must not move a digit.  The R = 0.05 solve has
+        # their thread count must not move a digit.  The R = 0.05 solves have
         # short segments past node 10000, whose history is one long direct
-        # convolution; the R = 0.5 solve has segments of 300-1100 cells,
-        # whose sweeps are block-Toeplitz GEMMs; and the instance's 301
-        # nodes span several blocks
+        # convolution and whose sweeps are products with the in-segment
+        # Toeplitz block, a matrix-vector product for d = 1 and a
+        # matrix-matrix product for d = 2; the R = 0.5 solve has segments of
+        # 300-1100 cells, whose sweeps are block-Toeplitz GEMMs; and the
+        # instance's 301 nodes span several blocks
         problems = []
         for radius in ("0.05", "0.5"):
             problems.append(tmp_path / f"logistic-{radius}.kv")
             problems[-1].write_text(
                 f"d = 1\nf0 = 0.4\nT = 1.0\nR = {radius}\nrhs = logistic\nrate = 1.0\n"
             )
+        problems.append(tmp_path / "linear-d2-0.05.kv")
+        problems[-1].write_text(
+            "d = 2\nf0 = 1.0,0.5\nT = 1.0\nR = 0.05\nrhs = linear\nmatrix = -1.0,0.5,0.0,-0.5\n"
+        )
         t = np.linspace(0.0, 1.0, 301)
         instance = tmp_path / "inst.kv"
         instance.write_text(

@@ -5,6 +5,7 @@ from genfrac import (
     load_problem_file,
     make_problem,
     rhs_affine,
+    rhs_constant,
     rhs_linear,
     rhs_logistic,
     rhs_power,
@@ -75,6 +76,27 @@ def test_problem_keeps_its_spec():
     problem = make_problem(spec, [0.4], 1.0)
     assert problem.spec is spec
     assert problem.eval_rhs(np.zeros(1), np.array([[0.4]]))[0, 0] == pytest.approx(0.24)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rhs_logistic(np.nan),
+        lambda: rhs_logistic(-np.inf),
+        lambda: rhs_power(1.0, np.inf),
+        lambda: rhs_power(np.nan, 2.0),
+        lambda: rhs_constant([0.0, np.inf]),
+        lambda: rhs_linear([[np.nan]]),
+        lambda: rhs_affine([[1.0, 0.0], [0.0, np.inf]], [0.0, 0.0]),
+        lambda: rhs_affine([[1.0]], [np.nan]),
+    ],
+    ids=["logistic_nan", "logistic_inf", "power_exponent", "power_coef", "constant",
+         "linear", "affine_matrix", "affine_xi"],
+)
+def test_builders_refuse_non_finite_parameters(build):
+    # a NaN constant would reach the horizon rule and the Lipschitz bound
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 @pytest.mark.parametrize("f0", [np.nan, np.inf, -np.inf])

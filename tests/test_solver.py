@@ -31,7 +31,8 @@ from genfrac import (
     solve_to_horizon,
     verify_holder,
 )
-from genfrac.solver import _theoretical_contraction
+from genfrac.kernels import _BLOCK, _conv_prefix, _lower_toeplitz
+from genfrac.solver import _horizon_index, _theoretical_contraction
 
 from conftest import INV_GAMMA_1_5, ML_ORACLE
 
@@ -77,10 +78,68 @@ class TestSelectHorizon:
         with pytest.raises(ValueError, match="R must be positive and finite"):
             picard_solve(problem, kt_stable_512, radius, horizon_index=8)
 
+    @pytest.mark.parametrize("bound, lip", [(np.nan, 1.0), (1.0, np.nan), (-1.0, 1.0), (1.0, -1.0)])
+    def test_bad_constants_are_usage_errors(self, kt_stable_512, bound, lip):
+        # a custom spec whose c_bound or lip_l is NaN or negative is refused
+        # before any sweep, whether or not the horizon is forced
+        spec = RhsSpec(
+            fn=lambda ts, ys: np.zeros_like(ys),
+            dim=1,
+            c_bound=lambda R: bound,
+            lip_l=lambda R: lip,
+            label="bad",
+        )
+        problem = make_problem(spec, [0.0], 1.0)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            solve_to_horizon(problem, kt_stable_512, 1.0)
+        if lip != 1.0:
+            with pytest.raises(ValueError, match="lip_l must be nonnegative"):
+                picard_solve(problem, kt_stable_512, 1.0, horizon_index=8)
+
+
+def horizon_by_scan(c, U, R):
+    """The full scan over every node: the reference for the bisection."""
+    with np.errstate(invalid="ignore"):  # inf * 0 fails the test, as in the bisection
+        ok = c * U < R
+    m = len(U) - 1 if ok.all() else int(np.argmin(ok)) - 1
+    if m < 1:
+        raise HorizonError("no node")
+    return m
+
+
+class TestHorizonBisection:
+    @given(
+        steps=st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.25, 1.0, 3.0]), min_size=1, max_size=40),
+        start=st.sampled_from([0.0, 0.5]),
+        c=st.one_of(st.sampled_from([0.0, 1e-300, np.inf]), st.floats(0.0, 1e6)),
+        R=st.one_of(st.floats(1e-300, 1e300), st.integers(0, 40)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_full_scan(self, steps, start, c, R):
+        # nondecreasing U with ties; an integer R picks the node whose
+        # c * U[m] it equals exactly, where the strict test changes sides
+        U = start + np.cumsum([0.0] + steps)
+        if isinstance(R, int):
+            R = c * float(U[min(R, len(U) - 1)])
+            if not 0 < R < np.inf:
+                R = 1.0
+        try:
+            expected = horizon_by_scan(c, U, R)
+        except HorizonError:
+            with pytest.raises(HorizonError):
+                _horizon_index(lambda r: c, 1.0, U, R)
+        else:
+            assert _horizon_index(lambda r: c, 1.0, U, R) == expected
+
 
 class TestBieleckiTau:
     def test_zero_lipschitz(self, kt_stable_512):
         assert pick_bielecki_tau(kt_stable_512, 0.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("L, t_prime", [(np.nan, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, np.nan)])
+    def test_bad_arguments_are_usage_errors(self, kt_stable_512, L, t_prime):
+        with pytest.raises(ValueError, match="need L >= 0 and t_prime > 0"):
+            pick_bielecki_tau(kt_stable_512, L, t_prime)
 
     def test_doubling_scales_by_conjugate_power(self, kt_stable_512):
         # beta = 1/2 gives p = 3/2, conjugate exponent 3
@@ -245,17 +304,50 @@ class TestContinuation:
             assert state.residual_sup == pytest.approx(residual, rel=1e-12)
             assert residual <= tol
 
-    def test_segment_march_is_pinned(self, kt_stable_4096):
-        # the segment schedule and the sweeps per segment of a long march;
-        # the frozen history only moves the last digits, never a decision
-        problem = make_problem(rhs_logistic(1.0), [0.4], 1.0)
+    def test_segment_march_is_pinned(self, kt_stable_4096, tempered_half):
+        # the segment lengths and the sweeps per segment of the four benchmark
+        # marches at N = 4096, as (value, repeats) runs: a change of summation
+        # order may move the last digits, never a decision
+        from genfrac import Grid, build_kernel_table
+
+        kt_tempered = build_kernel_table(tempered_half, Grid(1.0, 4096))
         tol = 1e-10
-        _, states = solve_to_horizon(problem, kt_stable_4096, R=0.05, tol=tol)
-        sweeps = [s.iteration_count for s in states]
-        assert len(states) == 602
-        assert sum(sweeps) == 2411
-        assert sweeps == [5] * 11 + [4] * 26 + [3] * 8 + [4] * 557
-        assert max(s.residual_sup for s in states) <= 2 * tol
+        cases = [
+            (kt_stable_4096, rhs_logistic(1.0), 0.4, 0.05,
+             [(18, 1), (17, 1), (16, 1), (15, 3), (14, 5), (13, 6), (12, 11), (11, 15),
+              (10, 22), (9, 35), (8, 54), (7, 91), (6, 166), (5, 191)],
+             [(5, 11), (4, 26), (3, 8), (4, 557)]),
+            (kt_stable_4096, rhs_logistic(1.0), 0.4, 0.5,
+             [(n, 1) for n in (275, 218, 202, 191, 183, 176, 171, 166, 162, 158, 155, 152, 149,
+                               147, 144, 142, 140, 138, 137, 135, 134, 132, 131, 129, 128, 101)],
+             [(7, 1), (5, 3), (6, 9), (7, 13)]),
+            (kt_stable_4096, rhs_linear([[-1.0]]), 1.0, 0.5,
+             [(n, 1) for n in (357, 524, 624, 708, 784, 853, 246)],
+             [(13, 1), (14, 3), (15, 2), (11, 1)]),
+            (kt_tempered, rhs_logistic(1.0), 0.4, 0.2,
+             [(n, 1) for n in (105, 86, 79, 74, 70, 67, 64, 62, 60, 58, 56, 55, 53, 52, 51, 49,
+                               48, 47)]
+             + [(46, 2), (45, 1), (44, 1), (43, 2), (42, 1), (41, 2), (40, 2), (39, 1), (38, 3),
+                (37, 2), (36, 3), (35, 2), (34, 3), (33, 4), (32, 4), (31, 4), (30, 5), (29, 6),
+                (28, 6), (27, 7), (26, 9), (25, 11), (24, 12), (23, 5), (5, 1)],
+             [(6, 1), (5, 2), (4, 1), (5, 5), (6, 107), (5, 1)]),
+        ]
+
+        def runs(xs):
+            out = []
+            for x in xs:
+                if out and out[-1][0] == x:
+                    out[-1] = (x, out[-1][1] + 1)
+                else:
+                    out.append((x, 1))
+            return out
+
+        for kt, spec, f0, radius, cells, sweeps in cases:
+            _, states = solve_to_horizon(make_problem(spec, [f0], 1.0), kt, radius, tol=tol)
+            ends = [0] + [s.horizon_index for s in states]
+            assert runs(np.diff(ends).tolist()) == cells
+            assert runs([s.iteration_count for s in states]) == sweeps
+            assert max(s.residual_sup for s in states) <= 2 * tol
 
     def test_global_runs_agree_across_segmentations(self, kt_stable_512):
         # global uniqueness probe: different restart schedules (induced by
@@ -312,6 +404,23 @@ class TestContinuation:
         assert sol.grid == chain.grid
         assert sol.values.tobytes() == chain.values.tobytes()
         assert states == chain_states
+
+
+@pytest.mark.parametrize("table", ["kt_stable_512", "kt_tempered_512"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 7, 18, 107, 127, 128])
+def test_segment_operator_is_the_history_sum(request, table, d, k):
+    # a short segment's history is T[:k, :k] @ g: the products of the direct
+    # sum plus exact zeros, so it differs only by summation order
+    kt = request.getfixturevalue(table)
+    T = _lower_toeplitz(kt.u_cell[:_BLOCK])
+    assert T.shape == (_BLOCK, _BLOCK)
+    g = np.random.default_rng(k * 10 + d).standard_normal((k, d))
+    direct = _conv_prefix(kt.u_cell[:k], g)
+    terms = _conv_prefix(kt.u_cell[:k], np.abs(g))
+    got = T[:k, :k] @ g
+    assert got.shape == direct.shape
+    assert np.all(np.abs(got - direct) <= 4 * np.finfo(float).eps * terms)
 
 
 def holder_by_lags(f, beta):
